@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import BoundaryError, DomainEscapeError
 
@@ -87,6 +86,8 @@ class ChartDomain:
 
     def sample_points(self, count: int, seed: int = 0, margin: float | None = None) -> np.ndarray:
         """Seeded low-discrepancy (Sobol) sample inside a margin-shrunk box."""
+        from scipy.stats import qmc  # deferred: scipy.stats dominates import time
+
         if margin is None:
             margin = 0.05 * self.edges.min()
         eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)

@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
         suite=suite,
         environment={
             "fd_step": chart.fd_step,
-            "grid_m": args.grid_m or (512 if chart.dim == 2 else 10_000),
+            "grid_m": direction_grid(chart.dim, args.grid_m).m,
             "seed": args.seed,
             "segments": segments,
             "iters": iters,

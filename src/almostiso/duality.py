@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import SphericalVoronoi
 
 from .errors import (
@@ -53,6 +52,12 @@ __all__ = [
 ]
 
 _DEFAULT_M = {2: 512, 3: 2562, 4: 10_000}
+
+# Rows of dual-norm queries per matrix product.  Small blocks keep the
+# (rows, m) temporary in cache-sized, reused pages: at 2048 rows a 4D grid
+# built a fresh 164 MB block per chunk, and most of the time went to page
+# faults.
+_DUAL_CHUNK = 64
 
 
 def sphere_area(n: int) -> float:
@@ -253,7 +258,7 @@ def gauge_samples(norm: Callable[[np.ndarray], np.ndarray], grid: DirectionGrid)
     return vals
 
 
-def dual_norm_eval(norm, xi, grid: DirectionGrid, chunk: int = 2048) -> np.ndarray:
+def dual_norm_eval(norm, xi, grid: DirectionGrid) -> np.ndarray:
     """Dual norm F*(xi) = max_u xi(u) / F(u) over the grid directions.
 
     ``norm`` may be an evaluator or precomputed grid values.  Exact as the
@@ -265,15 +270,15 @@ def dual_norm_eval(norm, xi, grid: DirectionGrid, chunk: int = 2048) -> np.ndarr
     single = xi.ndim == 1
     X = np.atleast_2d(xi)
     out = np.empty(len(X))
-    for i in range(0, len(X), chunk):
-        out[i:i + chunk] = (X[i:i + chunk] @ P.T).max(axis=1)
+    for i in range(0, len(X), _DUAL_CHUNK):
+        out[i:i + _DUAL_CHUNK] = (X[i:i + _DUAL_CHUNK] @ P.T).max(axis=1)
     return out[0] if single else out.reshape(xi.shape[:-1])
 
 
-def dual_gauge_samples(norm, grid: DirectionGrid, chunk: int = 2048) -> np.ndarray:
+def dual_gauge_samples(norm, grid: DirectionGrid) -> np.ndarray:
     """F* evaluated at every grid direction (the dual body's gauge samples)."""
     F = norm if isinstance(norm, np.ndarray) else gauge_samples(norm, grid)
-    return dual_norm_eval(F, grid.directions, grid, chunk=chunk)
+    return dual_norm_eval(F, grid.directions, grid)
 
 
 def double_dual_samples(values: np.ndarray, grid: DirectionGrid) -> np.ndarray:
@@ -418,6 +423,8 @@ def _polygon_support(normals: np.ndarray, offsets: np.ndarray, queries: np.ndarr
 
 
 def _lp_support(normals: np.ndarray, offsets: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linprog  # deferred: only the n > 2 branch needs it
+
     out = np.empty(len(queries))
     for i, q in enumerate(queries):
         res = linprog(-q, A_ub=normals, b_ub=offsets, bounds=[(None, None)] * len(q), method="highs")

@@ -196,3 +196,20 @@ def test_two_form_antisymmetry_enforced():
     bad = TwoFormField(lambda x: np.ones(x.shape[:-1] + (2, 2)), 2)
     with pytest.raises(ValueError):
         bad(np.zeros(2))
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats (Sobol samples) and scipy.optimize (support LPs) load on
+    # first use: importing them cost about half of `import almostiso`
+    import os
+    import subprocess
+    import sys
+
+    import almostiso
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(almostiso.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import almostiso; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

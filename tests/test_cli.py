@@ -92,6 +92,28 @@ class TestVerifyCommand:
         header = captured.splitlines()[0]
         assert header == "suite,check_id,inputs_digest,measured,tolerance,pass"
 
+    def test_environment_reports_grid_used(self, tmp_path):
+        # a 3D config runs on the 2562-point icosphere; a 4D --grid-m is
+        # rounded to a product grid
+        from almostiso import direction_grid
+
+        raw = {
+            "chart": {"box": [[-0.5, 0.5]] * 3, "fd_step": 1e-3},
+            "metric": {"kind": "randers",
+                       "g": {"kind": "constant", "matrix": np.eye(3).tolist()},
+                       "tau": {"kind": "expressions", "components": ["0.2", "0", "0"]}},
+        }
+        cfg = tmp_path / "flat3.json"
+        cfg.write_text(json.dumps(raw))
+        rounded = direction_grid(4, 2000).m
+        assert rounded != 2000
+        cheap = ["--segments", "4", "--iters", "10"]
+        for argv, m in ((["--config", str(cfg)], 2562),
+                        (["example-3", "--grid-m", "2000"], rounded)):
+            out = tmp_path / "report.json"
+            main(["verify", *argv, *cheap, "--out", str(out)])
+            assert json.loads(out.read_text())["environment"]["grid_m"] == m
+
     def test_emit_config_reproduces_entry(self, tmp_path):
         import numpy as np
         from almostiso import build_gallery_entry

@@ -5,6 +5,7 @@ import pytest
 
 from almostiso import (
     ChartDomain,
+    MetricField,
     OneFormField,
     PathPolyline,
     RandersData,
@@ -15,6 +16,7 @@ from almostiso import (
     distance_batch,
     euclidean_metric,
     path_length,
+    make_randers_closed,
     pullback_delta,
     randers_metric,
     seeded_triples,
@@ -129,6 +131,68 @@ class TestDistance:
         batch = distance_batch(F, starts, ends, k=16, iters=400)
         singles = [distance(F, s, e, k=16, iters=400) for s, e in zip(starts, ends)]
         np.testing.assert_allclose(batch, singles, atol=1e-6)
+
+
+def chords(edge, count=6):
+    """Chords of length 0.5 edge at ``count`` angles, off the chart centre."""
+    out = []
+    for ang in np.linspace(0.0, np.pi, count, endpoint=False):
+        u = np.array([np.cos(ang), np.sin(ang)])
+        off = 0.15 * edge * np.array([-u[1], u[0]])
+        out.append((off - 0.2 * edge * u, off + 0.3 * edge * u))
+    return np.array(out)
+
+
+def assert_oracle(F, pairs, exact, k=16):
+    """Both directions of every pair within the midpoint rule's 0.5 (d/k)^2."""
+    starts = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    ends = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    d = distance_batch(F, starts, ends, k=k, iters=400)
+    ref = exact(starts, ends)
+    rel = np.abs(d - ref) / ref
+    assert np.all(rel <= 0.5 * (ref / k) ** 2), rel
+
+
+class TestClosedFormOracles:
+    def test_magnetic_arcs(self, flat_25):
+        # tau = (c/2)(x1 dx2 - x2 dx1): minimisers are arcs of curvature c
+        c = 0.4
+
+        def exact(p, q):
+            L = np.linalg.norm(q - p, axis=-1)
+            a = np.arcsin(0.5 * c * L)
+            return (0.5 * c * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+                    + 2 * a / c - (a - np.sin(a) * np.cos(a)) / c)
+
+        assert_oracle(flat_25.metric(), chords(flat_25.chart.edges.min()), exact)
+
+    def test_poincare_disk_plus_df(self):
+        f = lambda x: 0.15 * (x ** 2).sum(axis=-1)
+        entry = make_randers_closed("hyperbolic-2d", f, grad_f=lambda x: 0.3 * x)
+
+        def exact(p, q):
+            r = ((q - p) ** 2).sum(-1) / ((1 - (p ** 2).sum(-1)) * (1 - (q ** 2).sum(-1)))
+            return 2 * np.arcsinh(np.sqrt(r)) + f(q) - f(p)
+
+        assert_oracle(entry.metric(), chords(entry.chart.edges.min()), exact)
+
+
+def test_single_solve_f_call_budget():
+    # two F calls per axis step; coarse levels get iters // 8 sweeps
+    f = lambda x: 0.15 * (x ** 2).sum(axis=-1)
+    F = make_randers_closed("hyperbolic-2d", f, grad_f=lambda x: 0.3 * x).metric()
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return F(x, y)
+
+    G = MetricField(counting, dim=2, chart=F.chart)
+    (p, q), = chords(1.0, count=1)
+    d = distance(G, p, q, k=16, iters=400)
+    assert d == distance(F, p, q, k=16, iters=400)
+    n, iters = 2, 400
+    assert len(calls) <= 4 * n * (iters + 2 * (iters // 8)) + 4
 
 
 class TestTriangular:
