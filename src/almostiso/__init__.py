@@ -74,7 +74,6 @@ from .metric import (
     euclidean_metric,
     randers_eval,
     randers_metric,
-    riemannian_metric,
     symmetrize,
     symmetrize_eval,
 )

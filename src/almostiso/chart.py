@@ -10,6 +10,7 @@ step-halving.  Evaluators are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -117,7 +118,10 @@ class ChartDomain:
 # Field wrappers
 # ---------------------------------------------------------------------------
 
-def _eval_components(components, x, dim, out_shape):
+_NON_FINITE = "field produced non-finite components"
+
+
+def _eval_shaped(components, x, dim, out_shape):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
         raise ValueError(f"points have dimension {x.shape[-1]}, field expects {dim}")
@@ -125,9 +129,25 @@ def _eval_components(components, x, dim, out_shape):
     expected = x.shape[:-1] + out_shape
     if out.shape != expected:
         raise ValueError(f"field returned shape {out.shape}, expected {expected}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("field produced non-finite components")
     return out
+
+
+def _eval_components(components, x, dim, out_shape):
+    out = _eval_shaped(components, x, dim, out_shape)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(_NON_FINITE)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _antisymmetric_pairs(n: int) -> np.ndarray:
+    """``(n*n, n(n-1)/2)`` matrix D with ``(A.ravel() @ D)_k = A_ij - A_ji``, i < j."""
+    i, j = np.triu_indices(n, 1)
+    D = np.zeros((n * n, len(i)))
+    k = np.arange(len(i))
+    D[i * n + j, k] = 1.0
+    D[j * n + i, k] = -1.0
+    return D
 
 
 @dataclass(frozen=True)
@@ -198,9 +218,15 @@ class RiemannianField:
     dim: int
 
     def __call__(self, x) -> np.ndarray:
-        out = _eval_components(self.components, x, self.dim, (self.dim, self.dim))
-        scale = max(1.0, float(np.abs(out).max()))
-        if np.abs(out - np.swapaxes(out, -1, -2)).max() > 1e-12 * scale:
+        n = self.dim
+        out = _eval_shaped(self.components, x, n, (n, n))
+        # max propagates NaN and inf: one reduction is the finiteness test
+        # and the scale; the +-1 pair matrix then differences exactly
+        peak = float(np.abs(out).max())
+        if not np.isfinite(peak):
+            raise ValueError(_NON_FINITE)
+        skew = np.abs(out.reshape(-1, n * n) @ _antisymmetric_pairs(n)).max(initial=0.0)
+        if skew > 1e-12 * max(1.0, peak):
             raise ValueError("metric components are not symmetric")
         return out
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import ChartDomain, OneFormField, RiemannianField, gradient_one_form
+from .chart import ChartDomain, OneFormField, RiemannianField, _partials
 from .expressions import compile_expression
-from .gallery import _fs_metric_components
+from .gallery import _conformal_field, _fs_metric_components
 from .metric import MetricField, RandersData, randers_metric
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
@@ -54,10 +54,8 @@ def _g_field(spec: dict, dim: int) -> RiemannianField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return RiemannianField.constant(np.asarray(spec["matrix"], dtype=float))
-    if kind == "sphere-conformal":
-        return RiemannianField.conformal(lambda x: 4.0 / (1.0 + (x ** 2).sum(axis=-1)) ** 2, dim)
-    if kind == "hyperbolic-conformal":
-        return RiemannianField.conformal(lambda x: 4.0 / (1.0 - (x ** 2).sum(axis=-1)) ** 2, dim)
+    if kind in ("sphere-conformal", "hyperbolic-conformal"):
+        return _conformal_field(kind.split("-")[0], dim)
     if kind == "fubini-study":
         if dim != 4:
             raise ValueError("fubini-study metric needs a 4-dimensional chart")
@@ -82,8 +80,11 @@ def _tau_field(spec: dict, dim: int, chart: ChartDomain) -> OneFormField:
         fns = [compile_expression(c, dim) for c in spec["components"]]
         return OneFormField(lambda x: np.stack([f(x) for f in fns], axis=-1), dim)
     if kind == "potential":
+        # a compiled expression is defined on all of R^n, so the centered
+        # difference may step past the box (gradient_one_form refuses to)
         f = compile_expression(spec["f"], dim)
-        return OneFormField(gradient_one_form(chart, f).components, dim)
+        h = chart.fd_step
+        return OneFormField(lambda x: np.moveaxis(_partials(f, x, dim, h), 0, -1), dim)
     raise ValueError(f"unknown one-form kind {kind!r}")
 
 

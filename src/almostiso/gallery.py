@@ -6,9 +6,11 @@ c * Kahler form in 4D, or d tau = df for the closed family), checks
 admissibility and the defining certificates, and returns an immutable
 :class:`GalleryEntry` carrying the expected almost-Killing dimension.
 
-Curved 2D primitives are built radially: tau = A(r) (x dy - y dx) with
-A(r) = c / r^2 * integral_0^r s * density(s) ds evaluated by Gauss-Legendre
-quadrature, so d tau = c * sqrt(det g) dx^dy for any radial density.
+Curved 2D primitives are built radially: for a conformal metric
+g = factor(r^2) I, tau = A(r) (x dy - y dx) with
+A(r) = c / r^2 * integral_0^r s * factor(s^2) ds satisfies
+d tau = c * sqrt(det g) dx^dy.  The integral is used in closed form:
+A = c/2 (flat), 2c/(1 + r^2) (sphere) and 2c/(1 - r^2) (hyperbolic).
 """
 
 from __future__ import annotations
@@ -116,44 +118,40 @@ def _certify_curvature(chart: ChartDomain, g: RiemannianField, kind: str,
 
 
 # ---------------------------------------------------------------------------
-# Radial primitive: tau with d(tau) = c * density(r) dx ^ dy
+# Conformal 2D charts and their radial primitives
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-
-def _radial_primitive(density: Callable[[np.ndarray], np.ndarray], c: float) -> OneFormField:
-    """tau = A(r) (x dy - y dx), A(r) = (c / r^2) * int_0^r s density(s) ds."""
-
-    def A(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        # map Gauss nodes to [0, r]: s = r (t + 1) / 2
-        s = 0.5 * r[..., None] * (_GAUSS_NODES + 1.0)
-        integral = 0.5 * r * (_GAUSS_WEIGHTS * s * density(s)).sum(axis=-1)
-        out = np.where(r > 1e-12, c * integral / np.maximum(r, 1e-12) ** 2,
-                       0.5 * c * density(np.zeros_like(r)))
-        return out
-
-    def comps(x):
-        r = np.linalg.norm(x, axis=-1)
-        a = A(r)
-        return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
-
-    return OneFormField(comps, 2)
-
-
+# conformal factor as a function of r^2
 _CONFORMAL_2D = {
     "flat": lambda r2: np.ones_like(r2),
     "sphere": lambda r2: 4.0 / (1.0 + r2) ** 2,
     "hyperbolic": lambda r2: 4.0 / (1.0 - r2) ** 2,
 }
 
+# A(r^2) / c = (1 / r^2) * int_0^r s * factor(s^2) ds, in closed form
+_RADIAL_AMPLITUDE = {
+    "flat": lambda r2: np.full_like(r2, 0.5),
+    "sphere": lambda r2: 2.0 / (1.0 + r2),
+    "hyperbolic": lambda r2: 2.0 / (1.0 - r2),
+}
+
 _CURVATURE_2D = {"flat": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
 
 
-def _conformal_field(kind: str) -> RiemannianField:
+def _conformal_field(kind: str, dim: int = 2) -> RiemannianField:
     factor = _CONFORMAL_2D[kind]
-    return RiemannianField.conformal(lambda x: factor((x ** 2).sum(axis=-1)), 2)
+    return RiemannianField.conformal(lambda x: factor((x ** 2).sum(axis=-1)), dim)
+
+
+def _radial_primitive(kind: str, c: float) -> OneFormField:
+    """tau = A(r) (x dy - y dx) with d(tau) = c * factor(r^2) dx ^ dy."""
+    amplitude = _RADIAL_AMPLITUDE[kind]
+
+    def comps(x):
+        a = c * amplitude((x ** 2).sum(axis=-1))
+        return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
+
+    return OneFormField(comps, 2)
 
 
 def _default_box(n: int, half: float = 0.5) -> np.ndarray:
@@ -174,8 +172,7 @@ def make_constant_curvature_2d(kind: str, c: float, box=None,
     chart = ChartDomain(_default_box(2) if box is None else box, fd_step)
     factor = _CONFORMAL_2D[kind]
     g = _conformal_field(kind)
-    density = lambda s: factor(s ** 2)
-    tau = _radial_primitive(density, c)
+    tau = _radial_primitive(kind, c)
     vol_form = TwoFormField(
         lambda x: factor((x ** 2).sum(axis=-1))[..., None, None]
         * np.array([[0.0, 1.0], [-1.0, 0.0]]),
@@ -272,26 +269,21 @@ def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEnt
 # Fubini-Study chart
 # ---------------------------------------------------------------------------
 
-_FS_COMPLEXIFICATION = np.zeros((2, 4), dtype=complex)
-_FS_COMPLEXIFICATION[0, 0] = 1.0
-_FS_COMPLEXIFICATION[0, 1] = 1.0j
-_FS_COMPLEXIFICATION[1, 2] = 1.0
-_FS_COMPLEXIFICATION[1, 3] = 1.0j
+_FS_J = standard_complex_structure(4)
 
 
 def _fs_metric_components(x: np.ndarray) -> np.ndarray:
     """Real components of the Fubini-Study metric on the affine C^2 chart.
 
-    Complex Hessian of the potential (1/2) log(1 + |z|^2), expanded to the
-    real coordinates (x1, x2, x3, x4) = (Re z1, Im z1, Re z2, Im z2);
-    normalized so the metric is the identity at the chart origin.
+    The complex Hessian of the potential (1/2) log(1 + |z|^2), expanded to
+    the real coordinates (x1, x2, x3, x4) = (Re z1, Im z1, Re z2, Im z2):
+    ``((1 + r^2) I - x x^T - Jx (Jx)^T) / (1 + r^2)^2`` with ``J`` the
+    standard complex structure; the identity at the chart origin.
     """
-    z = np.stack([x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]], axis=-1)
-    r2 = (np.abs(z) ** 2).sum(axis=-1)
-    denom = (1.0 + r2)[..., None, None]
-    h = 0.5 * (np.eye(2) * denom - np.conj(z)[..., :, None] * z[..., None, :]) / denom ** 2
-    C = _FS_COMPLEXIFICATION
-    return 2.0 * np.real(np.einsum("...jk,ja,kb->...ab", h, C, np.conj(C)))
+    s = 1.0 + (x ** 2).sum(axis=-1)[..., None, None]
+    jx = x @ _FS_J.T
+    out = s * np.eye(4) - x[..., :, None] * x[..., None, :] - jx[..., :, None] * jx[..., None, :]
+    return out / (s * s)
 
 
 def _fs_potential(x: np.ndarray) -> np.ndarray:
@@ -447,11 +439,11 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
 def gallery_entry_config(name: str, c: float | None = None) -> dict:
     """The JSON configuration reproducing a named gallery entry.
 
-    The drift one-forms of the curved families have closed forms in the
-    expression grammar: the radial primitive A(r)(x1 dx2 - x2 dx1) has
-    A = 2c/(1 + r^2) on the sphere chart and A = 2c/(1 - r^2) on the
-    hyperbolic chart (the quadrature construction reproduces these, as the
-    d-tau certificates verify).
+    The drift one-forms of the curved families are written in the
+    expression grammar with the closed-form amplitudes the constructors
+    use: the radial primitive A(r)(x1 dx2 - x2 dx1) has A = c/2 on the flat
+    chart, A = 2c/(1 + r^2) on the sphere chart and A = 2c/(1 - r^2) on the
+    hyperbolic chart.
     """
     catalog = gallery_catalog()
     if name not in catalog:

@@ -24,7 +24,6 @@ __all__ = [
     "randers_eval",
     "randers_metric",
     "euclidean_metric",
-    "riemannian_metric",
     "symmetrize",
     "symmetrize_eval",
     "add_one_form",
@@ -103,8 +102,10 @@ def randers_eval(data: RandersData, x, y, validate: bool = True) -> np.ndarray:
                 "|tau|_g >= 1: Randers data is not strictly convex at a point",
                 point=x,
             )
-    G = data.g(x)
-    quad = np.einsum("...i,...ij,...j->...", y, G, y)
+    # y . (G y) as two two-operand products: about half the time of one
+    # three-operand einsum on solver-sized batches
+    Gy = np.einsum("...ij,...j->...i", data.g(x), y)
+    quad = np.einsum("...i,...i->...", y, Gy)
     lin = np.einsum("...i,...i->...", data.tau(x), y)
     return np.sqrt(quad) + lin
 
@@ -128,15 +129,6 @@ def euclidean_metric(n: int, chart: ChartDomain | None = None) -> MetricField:
     return MetricField(
         lambda x, y: np.sqrt(np.einsum("...i,...i->...", y, y)),
         dim=n,
-        reversible=True,
-        chart=chart,
-    )
-
-
-def riemannian_metric(g: RiemannianField, chart: ChartDomain | None = None) -> MetricField:
-    return MetricField(
-        lambda x, y: np.sqrt(np.einsum("...i,...ij,...j->...", y, g(x), y)),
-        dim=g.dim,
         reversible=True,
         chart=chart,
     )

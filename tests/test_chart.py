@@ -198,6 +198,25 @@ def test_two_form_antisymmetry_enforced():
         bad(np.zeros(2))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_riemannian_field_validation(n):
+    def field(i, j, value, scale=3.0):
+        def comps(x):
+            out = np.broadcast_to(scale * np.eye(n), x.shape[:-1] + (n, n)).copy()
+            out[..., i, j] += value
+            return out
+        return RiemannianField(comps, n)
+
+    x = np.zeros((5, n))
+    for i, j, value in ((0, n - 1, np.nan), (n - 1, n - 1, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            field(i, j, value)(x)
+    # the asymmetry tolerance is 1e-12 of the largest component (here 3)
+    with pytest.raises(ValueError, match="not symmetric"):
+        field(n - 1, 0, 2e-12 * 3.0)(x)
+    field(n - 1, 0, 0.5e-12 * 3.0)(x)
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.stats (Sobol samples) and scipy.optimize (support LPs) load on
     # first use: importing them cost about half of `import almostiso`

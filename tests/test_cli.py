@@ -67,6 +67,25 @@ class TestVerifyCommand:
         assert by_id["almost-killing-dimension"]["measured"] == 3.0
         assert by_id["spectral-gap"]["measured"] > 1e2
 
+    def test_verify_potential_config(self, tmp_path):
+        # the potential's centered difference steps past the box corners,
+        # where the admissibility margin is sampled
+        raw = {
+            "chart": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "fd_step": 1e-3},
+            "metric": {
+                "kind": "randers",
+                "g": {"kind": "constant", "matrix": [[1, 0], [0, 1]]},
+                "tau": {"kind": "potential", "f": "0.3*x1"},
+            },
+            "solver": {"segments": 16, "iters": 400},
+            "seed": 0,
+        }
+        cfg = tmp_path / "potential.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_threshold_override_same_dimension(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify", "example-2.5", "--c", "0.4", "--out", str(out1)]) == 0

@@ -200,3 +200,35 @@ def test_fubini_study_c0_full_killing_dimension():
                                    dtau=entry.dtau, cross_validate=False)
     assert rep.dimension == 8
     assert rep.gap > 1e2
+
+
+def test_fubini_study_real_form_matches_complex_hessian():
+    """The real closed form equals the complex Hessian of (1/2) log(1 + |z|^2)."""
+    from almostiso.gallery import _fs_metric_components
+
+    def complex_hessian_form(x):
+        C = np.zeros((2, 4), dtype=complex)
+        C[0, 0], C[0, 1], C[1, 2], C[1, 3] = 1.0, 1.0j, 1.0, 1.0j
+        z = np.stack([x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]], axis=-1)
+        denom = (1.0 + (np.abs(z) ** 2).sum(axis=-1))[..., None, None]
+        h = 0.5 * (np.eye(2) * denom - np.conj(z)[..., :, None] * z[..., None, :]) / denom ** 2
+        return 2.0 * np.real(np.einsum("...jk,ja,kb->...ab", h, C, np.conj(C)))
+
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, (1000, 4))
+    assert np.abs(_fs_metric_components(x) - complex_hessian_form(x)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name, fixture", [
+    ("example-2.5", "flat_25"),
+    ("example-2.5-sphere", "sphere_25"),
+    ("example-2.5-hyperbolic", "hyperbolic_25"),
+])
+def test_radial_tau_matches_config_expressions(name, fixture, request):
+    """The closed-form radial drift equals the emitted config's expression tau."""
+    from almostiso.config import config_from_dict
+    from almostiso.gallery import gallery_entry_config
+
+    entry = request.getfixturevalue(fixture)
+    cfg = config_from_dict(gallery_entry_config(name, c=entry.c))
+    pts = np.vstack([entry.chart.mesh_points(5), entry.chart.sample_points(64, seed=13)])
+    assert np.abs(entry.tau(pts) - cfg.randers.tau(pts)).max() <= 1e-15
