@@ -249,12 +249,14 @@ class RiemannianField:
 
 def _partials(fn, x, n, h):
     """Stack of centered partials d_a fn(x) with leading axis a."""
-    outs = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        outs.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * h))
-    return np.stack(outs, axis=0)
+    out = None
+    for a, e in enumerate(h * np.eye(n)):
+        diff = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
+        if out is None:
+            # filled in place: the curvature sweep calls this per point
+            out = np.empty((n,) + diff.shape)
+        out[a] = diff / (2.0 * h)
+    return out
 
 
 def exterior_derivative(chart: ChartDomain, tau: OneFormField, x, step: float | None = None) -> np.ndarray:

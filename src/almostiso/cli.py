@@ -5,7 +5,7 @@ Subcommands
 verify          run the full certificate suite for a gallery entry or config
 betterment      dual-body recentering pipeline + Riemannian-detection verdict
 dimension       almost-Killing dimension with singular-value spectrum
-distance        point-to-point nonsymmetric distance with convergence trace
+distance        point-to-point distance: d, refined, cauchy_difference, reverse
 curvature       sectional-curvature sweep statistics
 invariant-forms invariant 2-forms of a named rotation subalgebra
 triangle        triangular function on seeded triples, optionally after a flow
@@ -47,6 +47,7 @@ from .metric import convexity_margin, randers_metric
 from .report import CheckRecord, VerificationReport, inputs_digest
 from .symmetry import (
     almost_killing_dimension,
+    flow_cross_validation,
     invariant_two_forms,
     so_generators,
     standard_complex_structure,
@@ -95,11 +96,9 @@ def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int,
     worst = 0.0
     barys = []
     for x in pts:
+        norm = data.norm_at(x)
         G = data.g(x)
-        tau_x = data.tau(x)
         frame = np.linalg.inv(np.linalg.cholesky(G)).T
-        norm = lambda v: (np.sqrt(np.einsum("...i,ij,...j->...", v, G, v))
-                          + np.asarray(v) @ tau_x)
         b = betterment_covector(norm, grid, frame=frame)
         U = grid.directions
         target = np.sqrt(np.einsum("ki,ij,kj->k", U, G, U))
@@ -115,6 +114,8 @@ def _timed(fn):
 
 
 def cmd_verify(args) -> int:
+    chart, target, name = _load_target(args)
+    data = target.randers
     overrides = {
         "c": args.c,
         "sv_threshold": args.sv_threshold,
@@ -123,31 +124,23 @@ def cmd_verify(args) -> int:
         "iters": args.iters,
         "seed": args.seed,
     }
-    if args.config:
-        cfg = load_config(args.config)
-        chart, data = cfg.chart, cfg.randers
-        entry = None
-        suite = "verify:config"
-        digest = inputs_digest({"config": cfg.raw, "overrides": overrides})
-        expected_dim = args.expect_dimension
-        dtau = None
-    else:
-        if args.example not in gallery_catalog():
-            print(f"error: unknown example {args.example!r}; "
-                  f"known: {', '.join(sorted(gallery_catalog()))}", file=sys.stderr)
-            return 2
-        entry = build_gallery_entry(args.example, c=args.c)
-        chart, data = entry.chart, entry.randers
-        suite = f"verify:{args.example}"
-        digest = inputs_digest({"example": args.example, "overrides": overrides})
+    entry = target if isinstance(target, GalleryEntry) else None
+    if entry is not None:
+        suite = f"verify:{name}"
+        digest = inputs_digest({"example": name, "overrides": overrides})
         expected_dim = entry.expected_dimension if args.expect_dimension is None else args.expect_dimension
         dtau = entry.dtau
         if args.emit_config:
             with open(args.emit_config, "w", encoding="utf-8") as fh:
-                json.dump(gallery_entry_config(args.example, c=args.c), fh,
+                json.dump(gallery_entry_config(name, c=args.c), fh,
                           indent=2, sort_keys=True)
+    else:
+        suite = "verify:config"
+        digest = inputs_digest({"config": target.raw, "overrides": overrides})
+        expected_dim = args.expect_dimension
+        dtau = None
 
-    segments, iters = _solver_params(args, cfg if args.config else entry)
+    segments, iters = _solver_params(args, target)
     sv_threshold = args.sv_threshold if args.sv_threshold else 1e-6
     report = VerificationReport(
         suite=suite,
@@ -178,19 +171,15 @@ def cmd_verify(args) -> int:
             report.add(CheckRecord(f"certificate-{name}", digest, float(measured),
                                    float(tol), bool(ok)))
 
-    (recovery, detail), dt = _timed(lambda: _betterment_recovery(
-        entry if entry is not None else cfg, args.grid_m, args.seed))
+    (recovery, detail), dt = _timed(lambda: _betterment_recovery(target, args.grid_m, args.seed))
     report.add(CheckRecord("betterment-recovery", digest, recovery, 1e-4,
                            recovery < 1e-4, detail=detail, runtime_s=dt))
 
-    def run_dim(thr):
-        return almost_killing_dimension(
-            chart, data.g, data.tau, dtau=dtau, sv_threshold=thr,
-            seed=args.seed + 101, segments=segments, iters=iters,
-            cross_validate=False,
-        )
-
-    rep, dt = _timed(lambda: run_dim(sv_threshold))
+    rep, dt = _timed(lambda: almost_killing_dimension(
+        chart, data.g, data.tau, dtau=dtau, sv_threshold=sv_threshold,
+        seed=args.seed + 101, segments=segments, iters=iters,
+        cross_validate=False,
+    ))
     dim_ok = True if expected_dim is None else rep.dimension == expected_dim
     report.add(CheckRecord(
         "almost-killing-dimension", digest, float(rep.dimension),
@@ -201,16 +190,16 @@ def cmd_verify(args) -> int:
     ))
     report.add(CheckRecord("spectral-gap", digest, rep.gap, 1e2, rep.gap > 1e2))
 
-    dims = [run_dim(t).dimension for t in (1e-7, 1e-5)]
-    stable = max(abs(d - rep.dimension) for d in dims)
+    # other cuts of the same spectrum, made as nullspace_dimension makes them
+    rel = rep.singular_values / rep.singular_values[0]
+    stable = max(abs(int((rel < t).sum()) - rep.dimension) for t in (1e-7, 1e-5))
     report.add(CheckRecord("threshold-stability", digest, float(stable), 0.0, stable == 0))
 
-    full, dt = _timed(lambda: almost_killing_dimension(
-        chart, data.g, data.tau, dtau=dtau, sv_threshold=sv_threshold,
-        seed=args.seed + 101, segments=segments, iters=iters,
-        cross_validate=True, raise_on_failure=False,
+    cross, dt = _timed(lambda: flow_cross_validation(
+        chart, data.g, data.tau, rep.basis, seed=args.seed + 101,
+        segments=segments, iters=iters, raise_on_failure=False,
     ))
-    tmax = full.max_t_deviation if full.cross_validation else 0.0
+    tmax = max((c["max_t_diff"] for c in cross), default=0.0)
     report.add(CheckRecord("t-invariance-crossval", digest, tmax, 1e-4,
                            tmax < 1e-4, runtime_s=dt))
 
@@ -221,6 +210,9 @@ def _load_target(args) -> tuple[ChartDomain, object, str]:
     if args.config:
         cfg = load_config(args.config)
         return cfg.chart, cfg, "config"
+    if args.example not in gallery_catalog():
+        raise ValueError(f"unknown example {args.example!r}; "
+                         f"known: {', '.join(sorted(gallery_catalog()))}")
     entry = build_gallery_entry(args.example, c=args.c)
     return entry.chart, entry, args.example
 
@@ -238,10 +230,8 @@ def cmd_betterment(args) -> int:
     grid = direction_grid(chart.dim, args.grid_m)
     x = _parse_point(args.point) if args.point else 0.5 * (chart.lower + chart.upper)
     digest = inputs_digest({"target": name, "point": x.tolist(), "m": grid.m})
-    G = data.g(x)
-    norm = lambda v: (np.sqrt(np.einsum("...i,ij,...j->...", v, G, v))
-                      + np.einsum("...i,...i->...", data.tau(np.broadcast_to(x, np.asarray(v).shape)), v))
-    frame = np.linalg.inv(np.linalg.cholesky(G)).T if args.frame else None
+    norm = data.norm_at(x)
+    frame = np.linalg.inv(np.linalg.cholesky(data.g(x))).T if args.frame else None
     b = betterment_covector(norm, grid, frame=frame)
     better_vals = norm(grid.directions) - grid.directions @ b
     fit = riemannian_fit(better_vals, grid)
@@ -427,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-crossval", action="store_true", dest="skip_crossval")
     p.set_defaults(fn=cmd_dimension)
 
-    p = sub.add_parser("distance", help="nonsymmetric distance with trace")
+    p = sub.add_parser("distance", help="distance d, refined, cauchy_difference, reverse")
     _add_common(p)
     p.add_argument("--from", dest="src", required=True, help="start point 'x1,x2,...'")
     p.add_argument("--to", dest="dst", required=True, help="end point 'x1,x2,...'")

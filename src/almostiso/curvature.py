@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import ChartDomain, RiemannianField
+from .chart import ChartDomain, RiemannianField, _partials
 from .errors import DegeneratePlaneError, IndefiniteMetricError
 
 __all__ = [
@@ -55,16 +55,12 @@ def christoffels(chart: ChartDomain, g: RiemannianField, x, step: float | None =
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise IndefiniteMetricError(f"metric is not positive-definite at {x}")
-    dg = np.empty(x.shape[:-1] + (n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        dg[..., a, :, :] = (g(x + e) - g(x - e)) / (2.0 * h)
+    dg = _partials(g, x, n, h)       # (a, ..., i, j): d_a g_ij
     # lower symbols: (d_i g_aj + d_j g_ai - d_a g_ij) / 2
     low = 0.5 * (
-        np.einsum("...iaj->...aij", dg)
-        + np.einsum("...jai->...aij", dg)
-        - np.einsum("...aij->...aij", dg)
+        np.einsum("i...aj->...aij", dg)
+        + np.einsum("j...ai->...aij", dg)
+        - np.einsum("a...ij->...aij", dg)
     )
     return np.einsum("...ka,...aij->...kij", np.linalg.inv(G), low)
 
@@ -73,12 +69,7 @@ def _riemann(chart: ChartDomain, g: RiemannianField, x: np.ndarray, h: float) ->
     """Rm[l, k, i, j] = component l of R(e_i, e_j) e_k at a single point."""
     n = chart.dim
     Gam = christoffels(chart, g, x, step=h)
-    H = 2.0 * h
-    dGam = np.empty((n, n, n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = H
-        dGam[i] = (christoffels(chart, g, x + e, step=h) - christoffels(chart, g, x - e, step=h)) / (2.0 * H)
+    dGam = _partials(lambda y: christoffels(chart, g, y, step=h), x, n, 2.0 * h)
     # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{ia} Gam^a_{jk} - Gam^l_{ja} Gam^a_{ik}
     term = np.einsum("iljk->lkij", dGam) - np.einsum("jlik->lkij", dGam)
     quad = np.einsum("lia,ajk->lkij", Gam, Gam) - np.einsum("lja,aik->lkij", Gam, Gam)

@@ -422,22 +422,11 @@ def _polygon_support(normals: np.ndarray, offsets: np.ndarray, queries: np.ndarr
     return (queries @ V.T).max(axis=1)
 
 
-def _lp_support(normals: np.ndarray, offsets: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linprog  # deferred: only the n > 2 branch needs it
-
-    out = np.empty(len(queries))
-    for i, q in enumerate(queries):
-        res = linprog(-q, A_ub=normals, b_ub=offsets, bounds=[(None, None)] * len(q), method="highs")
-        if not res.success:
-            raise InvalidBodyError(f"support LP failed: {res.message}")
-        out[i] = -res.fun
-    return out
-
-
 def polar_translation_check(norm, sigma, grid: DirectionGrid) -> float:
     """Deviation of the dual body of ``F + sigma`` from the shifted dual of ``F``.
 
-    Both dual bodies are reconstructed from the grid samples as halfspace
+    Two-dimensional grids only; other dimensions raise ``ValueError``.  Both
+    dual bodies are reconstructed from the grid samples as halfspace
     intersections ``{xi : xi(u) <= F(u)}`` and compared through their support
     evaluations at the grid directions:
 
@@ -447,6 +436,8 @@ def polar_translation_check(norm, sigma, grid: DirectionGrid) -> float:
     deviation vanishes; the computed value exercises the discretized
     reconstruction end-to-end and stays at solver precision.
     """
+    if grid.dim != 2:
+        raise ValueError(f"polar_translation_check needs a 2D grid, got dimension {grid.dim}")
     sigma = np.asarray(sigma, dtype=float)
     U = grid.directions
     F = norm if isinstance(norm, np.ndarray) else gauge_samples(norm, grid)
@@ -454,7 +445,6 @@ def polar_translation_check(norm, sigma, grid: DirectionGrid) -> float:
     Fs = F + shift
     if np.any(Fs <= 0.0):
         raise ConvexityError("F + sigma is not positive on the grid")
-    support = _polygon_support if grid.dim == 2 else _lp_support
-    h0 = support(U, F, U)
-    h1 = support(U, Fs, U)
+    h0 = _polygon_support(U, F, U)
+    h1 = _polygon_support(U, Fs, U)
     return float(np.abs(h1 - h0 - shift).max())

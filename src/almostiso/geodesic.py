@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import ChartDomain, OneFormField, exterior_derivative
+from .chart import ChartDomain, OneFormField, _partials, exterior_derivative
 from .errors import (
     DegenerateInputError,
     DomainEscapeError,
@@ -339,13 +339,7 @@ class PullbackDelta:
 
 
 def _fit_covector(F: MetricField, phi, x, grid: DirectionGrid, h: float) -> tuple[np.ndarray, float]:
-    n = grid.dim
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols.append((np.asarray(phi(x + e), float) - np.asarray(phi(x - e), float)) / (2 * h))
-    J = np.stack(cols, axis=-1)            # J[a, i] = d phi_a / d x_i
+    J = np.moveaxis(_partials(phi, x, grid.dim, h), 0, -1)   # J[a, i] = d phi_a / d x_i
     if abs(np.linalg.det(J)) < 1e-12:
         raise InvalidMapError(f"map has singular Jacobian at {x}")
     U = grid.directions

@@ -77,6 +77,17 @@ class RandersData:
     def dim(self) -> int:
         return self.g.dim
 
+    def norm_at(self, x) -> Callable[[np.ndarray], np.ndarray]:
+        """The norm ``v -> sqrt(v . g(x) v) + tau_x(v)`` of the tangent space at ``x``.
+
+        ``g`` and ``tau`` are evaluated once, at the single point ``x``; the
+        returned norm takes vectors of shape ``(..., n)``.
+        """
+        G = self.g(x)
+        tau_x = self.tau(x)
+        return lambda v: (np.sqrt(np.einsum("...i,ij,...j->...", v, G, v))
+                          + np.asarray(v) @ tau_x)
+
 
 def _tau_gnorm(data: RandersData, x) -> np.ndarray:
     """Dual norm |tau|_g = sqrt(tau . g^{-1} tau) at points x."""

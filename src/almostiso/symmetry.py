@@ -28,6 +28,7 @@ from .chart import (
     RiemannianField,
     TwoFormField,
     VectorField,
+    _partials,
     exterior_derivative_field,
     flow_point_map,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "u2_generators",
     "standard_complex_structure",
     "almost_killing_dimension",
+    "flow_cross_validation",
     "AlmostKillingReport",
 ]
 
@@ -164,18 +166,10 @@ def build_residual(g: RiemannianField, dtau: TwoFormField | None,
         )
     m = len(X)
     G = g(X)
-    dG = np.empty((m, n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        dG[:, a] = (g(X + e) - g(X - e)) / (2.0 * h)
+    dG = np.moveaxis(_partials(g, X, n, h), 0, -3)       # (m, a, j, l)
     if dtau is not None:
         B = dtau(X)
-        dB = np.empty((m, n, n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            dB[:, a] = (dtau(X + e) - dtau(X - e)) / (2.0 * h)
+        dB = np.moveaxis(_partials(dtau, X, n, h), 0, -3)
 
     sym_idx = [(j, l) for j in range(n) for l in range(j, n)]
     skew_idx = [(j, l) for j in range(n) for l in range(j + 1, n)]
@@ -381,6 +375,54 @@ class AlmostKillingReport:
         return max(c["max_t_diff"] for c in self.cross_validation)
 
 
+def flow_cross_validation(chart: ChartDomain, g: RiemannianField, tau: OneFormField,
+                          basis: np.ndarray, degree: int = 2, seed: int = 101,
+                          n_triples: int = 10, flow_time: float | None = None,
+                          segments: int = 16, iters: int = 400, t_tolerance: float = 1e-4,
+                          raise_on_failure: bool = True) -> list:
+    """Flow check linking the infinitesimal and finite pictures.
+
+    Each basis field (coefficients of the degree-``degree`` ansatz) is
+    normalized to unit sup-norm and flowed for ``flow_time``; the triangular
+    function must be preserved on triples seeded with ``seed + 1`` to within
+    ``t_tolerance``.  Returns one ``{"field", "max_t_diff"}`` record per
+    basis field.
+    """
+    if not len(basis):
+        return []
+    ansatz = VectorFieldAnsatz(chart.dim, degree)
+    if flow_time is None:
+        # sup-normalized fields move points by roughly the flow time;
+        # keep the flowed triples well inside the box
+        flow_time = 0.4 * chart.edges.min() / 2.0
+    F = randers_metric(RandersData(g, tau), chart=chart)
+    triples = seeded_triples(chart, n_triples, seed=seed + 1,
+                             margin=0.35 * chart.edges.min())
+    flat = triples.reshape(-1, chart.dim)
+    mesh = chart.mesh_points(3)
+    mapped = []
+    for coeffs in basis:
+        K = ansatz.field(coeffs / ansatz.sup_norm(coeffs, mesh))
+        phi = flow_point_map(chart, K, flow_time, n_steps=64)
+        mapped.append(np.asarray(phi(flat), dtype=float).reshape(triples.shape))
+    # one batched solve for the base triples and every field's image
+    stacked = np.concatenate([triples] + mapped)
+    t_all = triangular_batch(F, stacked, k=segments, iters=iters)
+    base = t_all[:n_triples]
+    cross = []
+    for b_idx in range(len(basis)):
+        t_field = t_all[(b_idx + 1) * n_triples:(b_idx + 2) * n_triples]
+        diff = float(np.abs(t_field - base).max())
+        cross.append({"field": b_idx, "max_t_diff": diff})
+        if raise_on_failure and diff > t_tolerance:
+            raise InconsistencyError(
+                f"basis field {b_idx} fails flow cross-validation: "
+                f"max T deviation {diff:.3g} > {t_tolerance:g} "
+                "(ansatz degree or tolerances are misconfigured)"
+            )
+    return cross
+
+
 def almost_killing_dimension(
     chart: ChartDomain,
     g: RiemannianField,
@@ -403,10 +445,7 @@ def almost_killing_dimension(
 
     Pipeline: d(tau) (analytic override or centered differences), residual
     matrix over a seeded low-discrepancy sample, SVD nullspace, and - when
-    ``cross_validate`` is set - a flow check linking the infinitesimal and
-    finite pictures: each basis field is normalized to unit sup-norm, flowed
-    for ``flow_time``, and the triangular function must be preserved on
-    seeded triples to within ``t_tolerance``.
+    ``cross_validate`` is set - :func:`flow_cross_validation` of the basis.
     """
     h = chart.fd_step if h is None else h
     ansatz = VectorFieldAnsatz(chart.dim, degree)
@@ -419,35 +458,11 @@ def almost_killing_dimension(
 
     cross = None
     if cross_validate and null.dimension:
-        if flow_time is None:
-            # sup-normalized fields move points by roughly the flow time;
-            # keep the flowed triples well inside the box
-            flow_time = 0.4 * chart.edges.min() / 2.0
-        F = randers_metric(RandersData(g, tau), chart=chart)
-        triples = seeded_triples(chart, n_triples, seed=seed + 1,
-                                 margin=0.35 * chart.edges.min())
-        flat = triples.reshape(-1, chart.dim)
-        mesh = chart.mesh_points(3)
-        mapped = []
-        for coeffs in null.basis:
-            K = ansatz.field(coeffs / ansatz.sup_norm(coeffs, mesh))
-            phi = flow_point_map(chart, K, flow_time, n_steps=64)
-            mapped.append(np.asarray(phi(flat), dtype=float).reshape(triples.shape))
-        # one batched solve for the base triples and every field's image
-        stacked = np.concatenate([triples] + mapped)
-        t_all = triangular_batch(F, stacked, k=segments, iters=iters)
-        base = t_all[:n_triples]
-        cross = []
-        for b_idx in range(null.dimension):
-            t_field = t_all[(b_idx + 1) * n_triples:(b_idx + 2) * n_triples]
-            diff = float(np.abs(t_field - base).max())
-            cross.append({"field": b_idx, "max_t_diff": diff})
-            if raise_on_failure and diff > t_tolerance:
-                raise InconsistencyError(
-                    f"basis field {b_idx} fails flow cross-validation: "
-                    f"max T deviation {diff:.3g} > {t_tolerance:g} "
-                    "(ansatz degree or tolerances are misconfigured)"
-                )
+        cross = flow_cross_validation(
+            chart, g, tau, null.basis, degree=degree, seed=seed, n_triples=n_triples,
+            flow_time=flow_time, segments=segments, iters=iters,
+            t_tolerance=t_tolerance, raise_on_failure=raise_on_failure,
+        )
 
     return AlmostKillingReport(
         dimension=null.dimension,

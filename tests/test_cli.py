@@ -67,6 +67,18 @@ class TestVerifyCommand:
         assert by_id["almost-killing-dimension"]["measured"] == 3.0
         assert by_id["spectral-gap"]["measured"] > 1e2
 
+    def test_verify_builds_one_residual(self, tmp_path, monkeypatch):
+        # dimension, threshold stability and cross-validation share one spectrum
+        from almostiso import symmetry
+
+        calls = []
+        build = symmetry.build_residual
+        monkeypatch.setattr(symmetry, "build_residual",
+                            lambda *a, **kw: calls.append(1) or build(*a, **kw))
+        main(["verify", "example-2.5", "--segments", "4", "--iters", "10",
+              "--out", str(tmp_path / "report.json")])
+        assert len(calls) == 1
+
     def test_verify_potential_config(self, tmp_path):
         # the potential's centered difference steps past the box corners,
         # where the admissibility margin is sampled

@@ -225,6 +225,11 @@ class TestSupportSamples:
             SupportSamples(grid2, np.zeros(grid2.m))
 
 
+def test_translation_check_is_2d_only():
+    with pytest.raises(ValueError):
+        polar_translation_check(norm_euclid, np.array([0.1, 0.0, 0.0]), icosphere_grid(1))
+
+
 def test_3d_icosphere_pipeline():
     """Subdivision grid on S^2: double duality and drift recovery."""
     grid = icosphere_grid(4)    # 2562 directions, the 3D default

@@ -142,11 +142,9 @@ class TestBettermentConsistency:
             pts = center + (pts - center) * min(1.0, scale)
         worst = 0.0
         for x in pts:
+            norm = entry.randers.norm_at(x)
             G = entry.g(x)
-            tau_x = entry.tau(x)
             frame = np.linalg.inv(np.linalg.cholesky(G)).T
-            norm = lambda v: (np.sqrt(np.einsum("...i,ij,...j->...", v, G, v))
-                              + np.asarray(v) @ tau_x)
             b = betterment_covector(norm, grid, frame=frame)
             U = grid.directions
             target = np.sqrt(np.einsum("ki,ij,kj->k", U, G, U))
@@ -232,3 +230,32 @@ def test_radial_tau_matches_config_expressions(name, fixture, request):
     cfg = config_from_dict(gallery_entry_config(name, c=entry.c))
     pts = np.vstack([entry.chart.mesh_points(5), entry.chart.sample_points(64, seed=13)])
     assert np.abs(entry.tau(pts) - cfg.randers.tau(pts)).max() <= 1e-15
+
+
+def test_hyperbolic_catalog_entry_stable_across_cuts():
+    """The catalog's hyperbolic chart keeps dimension 3 at the 1e-7, 1e-6 and 1e-5 cuts."""
+    from almostiso import almost_killing_dimension
+    from almostiso.config import config_from_dict
+    from almostiso.gallery import gallery_entry_config
+
+    entry = build_gallery_entry("example-2.5-hyperbolic")
+    cfg = config_from_dict(gallery_entry_config("example-2.5-hyperbolic"))
+    assert cfg.chart.fd_step == entry.chart.fd_step
+    for t in (1e-7, 1e-6, 1e-5):
+        rep = almost_killing_dimension(entry.chart, entry.g, entry.tau, dtau=entry.dtau,
+                                       sv_threshold=t, cross_validate=False)
+        assert rep.dimension == 3, t
+
+
+@pytest.mark.parametrize("fixture", ["sphere_25", "fubini_study"])
+def test_norm_at_matches_randers_eval(fixture, request):
+    """The per-point norm agrees with the batched Randers evaluator."""
+    from almostiso import randers_eval
+
+    entry = request.getfixturevalue(fixture)
+    data = entry.randers
+    n = entry.chart.dim
+    V = np.random.default_rng(7).standard_normal((200, n))
+    for x in entry.chart.sample_points(4, seed=19):
+        expected = randers_eval(data, np.broadcast_to(x, V.shape), V)
+        np.testing.assert_allclose(data.norm_at(x)(V), expected, rtol=1e-15, atol=0)
