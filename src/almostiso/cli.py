@@ -36,12 +36,7 @@ from .duality import (
 from .errors import GeometryError
 from .expressions import compile_expression
 from .curvature import curvature_sweep
-from .gallery import (
-    GalleryEntry,
-    build_gallery_entry,
-    gallery_catalog,
-    gallery_entry_config,
-)
+from .gallery import GalleryEntry, build_gallery_entry, gallery_catalog
 from .geodesic import distance, seeded_triples, t_invariance_check, triangular_batch
 from .metric import convexity_margin, randers_metric
 from .report import CheckRecord, VerificationReport, inputs_digest
@@ -125,25 +120,17 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
     }
     entry = target if isinstance(target, GalleryEntry) else None
-    if entry is not None:
-        suite = f"verify:{name}"
-        digest = inputs_digest({"example": name, "overrides": overrides})
-        expected_dim = entry.expected_dimension if args.expect_dimension is None else args.expect_dimension
-        dtau = entry.dtau
-        if args.emit_config:
-            with open(args.emit_config, "w", encoding="utf-8") as fh:
-                json.dump(gallery_entry_config(name, c=args.c), fh,
-                          indent=2, sort_keys=True)
-    else:
-        suite = "verify:config"
-        digest = inputs_digest({"config": target.raw, "overrides": overrides})
-        expected_dim = args.expect_dimension
-        dtau = None
+    digest = inputs_digest({"config": target.raw, "overrides": overrides} if entry is None
+                           else {"example": name, "overrides": overrides})
+    if args.emit_config:
+        with open(args.emit_config, "w", encoding="utf-8") as fh:
+            json.dump(target.raw, fh, indent=2, sort_keys=True)
+    expected_dim = _expected_dimension(args, target)
 
     segments, iters = _solver_params(args, target)
     sv_threshold = args.sv_threshold if args.sv_threshold else 1e-6
     report = VerificationReport(
-        suite=suite,
+        suite=f"verify:{name}",
         environment={
             "fd_step": chart.fd_step,
             "grid_m": direction_grid(chart.dim, args.grid_m).m,
@@ -176,8 +163,8 @@ def cmd_verify(args) -> int:
                            recovery < 1e-4, detail=detail, runtime_s=dt))
 
     rep, dt = _timed(lambda: almost_killing_dimension(
-        chart, data.g, data.tau, dtau=dtau, sv_threshold=sv_threshold,
-        seed=args.seed + 101, segments=segments, iters=iters,
+        chart, data.g, data.tau, dtau=getattr(target, "dtau", None),
+        sv_threshold=sv_threshold, seed=args.seed + 101, segments=segments, iters=iters,
         cross_validate=False,
     ))
     dim_ok = True if expected_dim is None else rep.dimension == expected_dim
@@ -217,6 +204,13 @@ def _load_target(args) -> tuple[ChartDomain, object, str]:
     return entry.chart, entry, args.example
 
 
+def _expected_dimension(args, target) -> int | None:
+    """The --expect-dimension flag wins; otherwise a gallery entry's own count."""
+    if args.expect_dimension is not None:
+        return args.expect_dimension
+    return getattr(target, "expected_dimension", None)
+
+
 def _solver_params(args, target) -> tuple[int, int]:
     """Flags win; otherwise the config's solver block; otherwise defaults."""
     segments = args.segments if args.segments is not None else getattr(target, "segments", 16)
@@ -251,16 +245,15 @@ def cmd_betterment(args) -> int:
 def cmd_dimension(args) -> int:
     chart, target, name = _load_target(args)
     data = target.randers
-    dtau = target.dtau if isinstance(target, GalleryEntry) else None
     segments, iters = _solver_params(args, target)
     rep = almost_killing_dimension(
-        chart, data.g, data.tau, degree=args.degree, dtau=dtau,
+        chart, data.g, data.tau, degree=args.degree, dtau=getattr(target, "dtau", None),
         sv_threshold=args.sv_threshold or 1e-6, seed=args.seed + 101,
         cross_validate=not args.skip_crossval, raise_on_failure=False,
         segments=segments, iters=iters,
     )
     digest = inputs_digest({"target": name, "degree": args.degree})
-    expected = target.expected_dimension if isinstance(target, GalleryEntry) else args.expect_dimension
+    expected = _expected_dimension(args, target)
     report = VerificationReport(
         suite=f"dimension:{name}",
         environment={"fd_step": rep.fd_step, "sv_threshold": rep.sv_threshold, "seed": args.seed},

@@ -4,13 +4,18 @@ Each constructor builds a chart, a Riemannian component field g, and a
 1-form tau with a prescribed differential (d tau = c * volume form in 2D,
 c * Kahler form in 4D, or d tau = df for the closed family), checks
 admissibility and the defining certificates, and returns an immutable
-:class:`GalleryEntry` carrying the expected almost-Killing dimension.
+:class:`GalleryEntry` carrying the expected almost-Killing dimension and
+the JSON configuration it is equivalent to.
 
 Curved 2D primitives are built radially: for a conformal metric
 g = factor(r^2) I, tau = A(r) (x dy - y dx) with
 A(r) = c / r^2 * integral_0^r s * factor(s^2) ds satisfies
 d tau = c * sqrt(det g) dx^dy.  The integral is used in closed form:
 A = c/2 (flat), 2c/(1 + r^2) (sphere) and 2c/(1 - r^2) (hyperbolic).
+
+Every tau is evaluated by a numpy closure written next to its expression
+text; the text goes into the entry's configuration, where
+:func:`almostiso.config.config_from_dict` compiles it back.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "make_fubini_study_4d",
     "make_randers_closed",
     "gallery_catalog",
-    "gallery_entry_config",
     "build_gallery_entry",
 ]
 
@@ -52,6 +56,9 @@ class GalleryEntry:
 
     ``certificates`` maps check names to (measured, tolerance) pairs that
     were verified at construction; entries are immutable afterwards.
+    ``raw`` is the equivalent JSON configuration (the certified chart, the
+    g kind and tau as expression text); it is None when tau was given only
+    as Python callables.
     """
 
     name: str
@@ -65,6 +72,7 @@ class GalleryEntry:
     dtau: TwoFormField | None = None
     complex_structure: np.ndarray | None = None
     certificates: dict = field(default_factory=dict)
+    raw: dict | None = None
 
     @property
     def randers(self) -> RandersData:
@@ -79,18 +87,8 @@ def _admissibility_points(chart: ChartDomain) -> np.ndarray:
     return np.vstack([chart.mesh_points(per_axis), chart.sample_points(32, seed=3)])
 
 
-def _certify_margin(entry_name: str, chart: ChartDomain, data: RandersData) -> float:
-    margin = convexity_margin(data, _admissibility_points(chart))
-    if margin <= 0.0:
-        raise ConvexityError(
-            f"{entry_name}: |tau|_g >= 1 on the chart box; "
-            "shrink the box or reduce |c|"
-        )
-    return margin
-
-
 def _certify_dtau(chart: ChartDomain, tau: OneFormField, target: TwoFormField,
-                  tol: float = 1e-6, n_points: int = 16) -> float:
+                  tol: float, n_points: int = 16) -> float:
     pts = chart.sample_points(n_points, seed=5, margin=3 * chart.fd_step + 0.05 * chart.edges.min())
     # quarter step: the certificate measurement must not be limited by the
     # chart's working finite-difference accuracy
@@ -101,62 +99,114 @@ def _certify_dtau(chart: ChartDomain, tau: OneFormField, target: TwoFormField,
     return defect
 
 
-def _certify_curvature(chart: ChartDomain, g: RiemannianField, kind: str,
-                       target: float | None, J: np.ndarray | None,
-                       n_planes: int = 16, tol: float = 1e-3) -> dict:
-    sweep = curvature_sweep(chart, g, count=n_planes, seed=17,
-                            complex_structure=J if kind == "constant-holomorphic" else None)
-    out = {"mean": sweep.mean, "std": sweep.std}
-    if sweep.std > tol:
+def _certified(name: str, chart: ChartDomain, g: RiemannianField, tau: OneFormField,
+               dtau: TwoFormField, *, c: float, expected_dimension: int,
+               curvature_target: float | None, curvature_tol: float,
+               dtau_tol: float | None, g_spec: dict, tau_text: list[str] | None,
+               curvature_kind: str = "constant-sectional", J: np.ndarray | None = None,
+               max_shrink: int = 0, certs: dict | None = None) -> GalleryEntry:
+    """Certify Randers data and return its entry.
+
+    The box shrinks (up to ``max_shrink`` times) until ``|tau|_g < 1`` on
+    it; d(tau) is checked against ``dtau`` within ``dtau_tol`` (skipped when
+    None), and 16 curvature planes within ``curvature_tol``: J-invariant
+    ones for constant holomorphic curvature, whose value is recorded, not
+    pinned.  ``certs`` holds certificates the caller measured already.
+    """
+    data = RandersData(g, tau)
+    for attempt in range(max_shrink + 1):
+        margin = convexity_margin(data, _admissibility_points(chart))
+        if margin > 0.0:
+            break
+        if attempt == max_shrink:
+            raise ConvexityError(f"{name}: |tau|_g >= 1 on the chart box; "
+                                 "shrink the box or reduce |c|")
+        chart = chart.shrink(0.8)
+    certs = {"convexity_margin": (margin, 0.0), **(certs or {})}
+    if dtau_tol is not None:
+        certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau, dtau_tol), dtau_tol)
+
+    holomorphic = curvature_kind == "constant-holomorphic"
+    sweep = curvature_sweep(chart, g, count=16, seed=17,
+                            complex_structure=J if holomorphic else None)
+    if sweep.std > curvature_tol:
         raise ConstructionError(
-            f"curvature constancy certificate failed: std {sweep.std:g} > {tol:g}"
+            f"curvature constancy certificate failed: std {sweep.std:g} > {curvature_tol:g}"
         )
-    if target is not None and abs(sweep.mean - target) > tol:
+    if curvature_target is not None and abs(sweep.mean - curvature_target) > curvature_tol:
         raise ConstructionError(
-            f"curvature value certificate failed: mean {sweep.mean:g} != {target:g}"
+            f"curvature value certificate failed: mean {sweep.mean:g} != {curvature_target:g}"
         )
-    return out
+    prefix = "holomorphic_curvature" if holomorphic else "curvature"
+    certs[f"{prefix}_mean"] = (sweep.mean,
+                               float("nan") if curvature_target is None else curvature_tol)
+    certs[f"{prefix}_std"] = (sweep.std, curvature_tol)
+
+    raw = None if tau_text is None else {
+        "chart": {"box": chart.box.tolist(), "fd_step": chart.fd_step},
+        "metric": {"kind": "randers", "g": g_spec,
+                   "tau": {"kind": "expressions", "components": tau_text}},
+    }
+    return GalleryEntry(
+        name=name, chart=chart, g=g, tau=tau, c=c,
+        expected_dimension=expected_dimension, curvature_kind=curvature_kind,
+        curvature_target=curvature_target, dtau=dtau, complex_structure=J,
+        certificates=certs, raw=raw,
+    )
+
+
+def _rotation_text(term: str, n: int) -> list[str]:
+    """Expression text of sum_k a_k (x_{2k-1} dx_{2k} - x_{2k} dx_{2k-1}).
+
+    ``term`` writes one component, with ``{s}`` for its sign and ``{x}``
+    for its coordinate.
+    """
+    return [term.format(s=s, x=f"x{2 * k + j}")
+            for k in range(n // 2) for s, j in (("-", 2), ("", 1))]
+
+
+def _default_box(n: int, half: float = 0.5) -> np.ndarray:
+    return np.tile([-half, half], (n, 1))
+
+
+def _g_spec(kind: str, n: int) -> dict:
+    """The configuration of a conformal chart metric (the identity when flat)."""
+    if kind == "flat":
+        return {"kind": "constant", "matrix": np.eye(n).tolist()}
+    return {"kind": f"{kind}-conformal"}
 
 
 # ---------------------------------------------------------------------------
 # Conformal 2D charts and their radial primitives
 # ---------------------------------------------------------------------------
 
-# conformal factor as a function of r^2
-_CONFORMAL_2D = {
-    "flat": lambda r2: np.ones_like(r2),
-    "sphere": lambda r2: 4.0 / (1.0 + r2) ** 2,
-    "hyperbolic": lambda r2: 4.0 / (1.0 - r2) ** 2,
+# kind: (conformal factor of r^2, the closed-form A(r^2) / c and the same
+# amplitude as expression text in {r2}, sectional curvature)
+_RADIAL = {
+    "flat": (lambda r2: np.ones_like(r2),
+             lambda r2: np.full_like(r2, 0.5), "0.5", 0.0),
+    "sphere": (lambda r2: 4.0 / (1.0 + r2) ** 2,
+               lambda r2: 2.0 / (1.0 + r2), "(2/(1 + {r2}))", 1.0),
+    "hyperbolic": (lambda r2: 4.0 / (1.0 - r2) ** 2,
+                   lambda r2: 2.0 / (1.0 - r2), "(2/(1 - {r2}))", -1.0),
 }
-
-# A(r^2) / c = (1 / r^2) * int_0^r s * factor(s^2) ds, in closed form
-_RADIAL_AMPLITUDE = {
-    "flat": lambda r2: np.full_like(r2, 0.5),
-    "sphere": lambda r2: 2.0 / (1.0 + r2),
-    "hyperbolic": lambda r2: 2.0 / (1.0 - r2),
-}
-
-_CURVATURE_2D = {"flat": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
 
 
 def _conformal_field(kind: str, dim: int = 2) -> RiemannianField:
-    factor = _CONFORMAL_2D[kind]
+    factor = _RADIAL[kind][0]
     return RiemannianField.conformal(lambda x: factor((x ** 2).sum(axis=-1)), dim)
 
 
-def _radial_primitive(kind: str, c: float) -> OneFormField:
+def _radial_primitive(kind: str, c: float) -> tuple[OneFormField, list[str]]:
     """tau = A(r) (x dy - y dx) with d(tau) = c * factor(r^2) dx ^ dy."""
-    amplitude = _RADIAL_AMPLITUDE[kind]
+    _, amplitude, text, _ = _RADIAL[kind]
 
     def comps(x):
         a = c * amplitude((x ** 2).sum(axis=-1))
         return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
 
-    return OneFormField(comps, 2)
-
-
-def _default_box(n: int, half: float = 0.5) -> np.ndarray:
-    return np.tile([-half, half], (n, 1))
+    amp = f"({c}*{text.format(r2='(x1^2 + x2^2)')})"
+    return OneFormField(comps, 2), _rotation_text("{s}" + amp + "*{x}", 2)
 
 
 def make_constant_curvature_2d(kind: str, c: float, box=None,
@@ -168,49 +218,24 @@ def make_constant_curvature_2d(kind: str, c: float, box=None,
     With c != 0 the almost-Killing space is 3-dimensional: volume-preserving
     isometries survive, translations-only metrics do not occur in 2D.
     """
-    if kind not in _CONFORMAL_2D:
-        raise ValueError(f"kind must be one of {sorted(_CONFORMAL_2D)}")
-    chart = ChartDomain(_default_box(2) if box is None else box, fd_step)
-    factor = _CONFORMAL_2D[kind]
-    g = _conformal_field(kind)
-    tau = _radial_primitive(kind, c)
+    if kind not in _RADIAL:
+        raise ValueError(f"kind must be one of {sorted(_RADIAL)}")
+    factor = _RADIAL[kind][0]
+    tau, tau_text = _radial_primitive(kind, c)
     vol_form = TwoFormField(
         lambda x: factor((x ** 2).sum(axis=-1))[..., None, None]
         * np.array([[0.0, 1.0], [-1.0, 0.0]]),
         2,
     )
-    dtau = TwoFormField(lambda x: c * vol_form(x), 2)
-
-    data = RandersData(g, tau)
-    for _ in range(max_shrink + 1):
-        try:
-            margin = _certify_margin(f"constant-curvature-2d[{kind}]", chart, data)
-            break
-        except ConvexityError:
-            chart = chart.shrink(0.8)
-    else:
-        raise ConvexityError(
-            f"constant-curvature-2d[{kind}]: no admissible box found; reduce |c|"
-        )
-
-    certs = {"convexity_margin": (margin, 0.0)}
-    if c != 0.0:
-        certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau), 1e-6)
-    curv = _certify_curvature(chart, g, "constant-sectional", _CURVATURE_2D[kind], None)
-    certs["curvature_mean"] = (curv["mean"], 1e-3)
-    certs["curvature_std"] = (curv["std"], 1e-3)
-
-    return GalleryEntry(
-        name=f"constant-curvature-2d[{kind}, c={c:g}]",
-        chart=chart,
-        g=g,
-        tau=tau,
-        c=c,
-        expected_dimension=3,
-        curvature_kind="constant-sectional",
-        curvature_target=_CURVATURE_2D[kind],
-        dtau=dtau if c != 0.0 else TwoFormField.constant(np.zeros((2, 2))),
-        certificates=certs,
+    dtau = (TwoFormField(lambda x: c * vol_form(x), 2) if c != 0.0
+            else TwoFormField.constant(np.zeros((2, 2))))
+    return _certified(
+        f"constant-curvature-2d[{kind}, c={c:g}]",
+        ChartDomain(_default_box(2) if box is None else box, fd_step),
+        _conformal_field(kind), tau, dtau, c=c, expected_dimension=3,
+        curvature_target=_RADIAL[kind][3], curvature_tol=1e-3,
+        dtau_tol=1e-6 if c != 0.0 else None, g_spec=_g_spec(kind, 2),
+        tau_text=tau_text, max_shrink=max_shrink,
     )
 
 
@@ -220,9 +245,6 @@ def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEnt
     tau = (c/2)(x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3).  Expected almost-Killing
     dimension: 8 for c != 0 (translations + unitary rotations), 10 for c = 0.
     """
-    chart = ChartDomain(_default_box(4) if box is None else box, fd_step)
-    J = standard_complex_structure(4)
-    g = RiemannianField.constant(np.eye(4))
     omega = np.zeros((4, 4))
     omega[0, 1] = omega[2, 3] = 1.0
     omega[1, 0] = omega[3, 2] = -1.0
@@ -235,34 +257,16 @@ def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEnt
         out[..., 3] = 0.5 * c * x[..., 2]
         return out
 
-    tau = OneFormField(tau_comps, 4)
-    dtau = TwoFormField.constant(c * omega)
-
-    corner_radius = np.linalg.norm(chart.edges / 2.0)
-    if abs(c) * corner_radius >= 2.0:
-        raise ConvexityError("flat-kahler-4d: |c| too large for the box")
-
-    data = RandersData(g, tau)
-    margin = _certify_margin("flat-kahler-4d", chart, data)
-    certs = {"convexity_margin": (margin, 0.0)}
-    if c != 0.0:
-        certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau), 1e-6)
-    curv = _certify_curvature(chart, g, "constant-sectional", 0.0, None, tol=1e-4)
-    certs["curvature_mean"] = (curv["mean"], 1e-4)
-    certs["curvature_std"] = (curv["std"], 1e-4)
-
-    return GalleryEntry(
-        name=f"flat-kahler-4d[c={c:g}]",
-        chart=chart,
-        g=g,
-        tau=tau,
-        c=c,
+    return _certified(
+        f"flat-kahler-4d[c={c:g}]",
+        ChartDomain(_default_box(4) if box is None else box, fd_step),
+        RiemannianField.constant(np.eye(4)), OneFormField(tau_comps, 4),
+        TwoFormField.constant(c * omega), c=c,
         expected_dimension=8 if c != 0.0 else 10,
-        curvature_kind="constant-sectional",
-        curvature_target=0.0,
-        dtau=dtau,
-        complex_structure=J,
-        certificates=certs,
+        curvature_target=0.0, curvature_tol=1e-4,
+        dtau_tol=1e-6 if c != 0.0 else None, g_spec=_g_spec("flat", 4),
+        tau_text=_rotation_text(f"{{s}}0.5*{c}*{{x}}", 4),
+        J=standard_complex_structure(4),
     )
 
 
@@ -287,11 +291,7 @@ def _fs_metric_components(x: np.ndarray) -> np.ndarray:
     return out / (s * s)
 
 
-def _fs_potential(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.log1p((x ** 2).sum(axis=-1))
-
-
-def _fs_tau(c: float) -> OneFormField:
+def _fs_tau(c: float) -> tuple[OneFormField, list[str]]:
     """c times the canonical primitive of the Kahler form.
 
     eta = (1/2) sum_j (phi_{x_j} dy_j - phi_{y_j} dx_j) for the potential
@@ -308,7 +308,8 @@ def _fs_tau(c: float) -> OneFormField:
         out[..., 3] = 0.5 * grad[..., 2]
         return c * out
 
-    return OneFormField(comps, 4)
+    r2 = "(x1^2 + x2^2 + x3^2 + x4^2)"
+    return OneFormField(comps, 4), _rotation_text(f"{c}*({{s}}0.5*({{x}}/(1 + {r2})))", 4)
 
 
 def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEntry:
@@ -326,16 +327,10 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
     """
     chart = ChartDomain(_default_box(4, 0.35) if box is None else box, fd_step)
     J = standard_complex_structure(4)
-    g = RiemannianField(_fs_metric_components, 4)
     omega = TwoFormField(
         lambda x: np.einsum("ba,...bc->...ac", J, _fs_metric_components(x)), 4
     )
-    tau = _fs_tau(c)
-    dtau = TwoFormField(lambda x: c * omega(x), 4)
-
-    data = RandersData(g, tau)
-    margin = _certify_margin("fubini-study-4d", chart, data)
-    certs = {"convexity_margin": (margin, 0.0)}
+    tau, tau_text = _fs_tau(c)
 
     # Kahler form closedness: d(omega) has 4 independent 3-form components;
     # check all dx_a ^ dx_i ^ dx_j coefficients via partials of omega.
@@ -345,25 +340,13 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
     domega_defect = float(np.abs(cyc).max())
     if domega_defect > 1e-6:
         raise ConstructionError(f"d(omega) != 0: defect {domega_defect:g}")
-    certs["domega_defect"] = (domega_defect, 1e-6)
-    if c != 0.0:
-        certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau), 1e-6)
-    curv = _certify_curvature(chart, g, "constant-holomorphic", None, J)
-    certs["holomorphic_curvature_mean"] = (curv["mean"], float("nan"))
-    certs["holomorphic_curvature_std"] = (curv["std"], 1e-3)
 
-    return GalleryEntry(
-        name=f"fubini-study-4d[c={c:g}]",
-        chart=chart,
-        g=g,
-        tau=tau,
-        c=c,
-        expected_dimension=8,
-        curvature_kind="constant-holomorphic",
-        curvature_target=None,
-        dtau=dtau,
-        complex_structure=J,
-        certificates=certs,
+    return _certified(
+        f"fubini-study-4d[c={c:g}]", chart, RiemannianField(_fs_metric_components, 4),
+        tau, TwoFormField(lambda x: c * omega(x), 4), c=c, expected_dimension=8,
+        curvature_kind="constant-holomorphic", curvature_target=None, curvature_tol=1e-3,
+        dtau_tol=1e-6 if c != 0.0 else None, g_spec={"kind": "fubini-study"},
+        tau_text=tau_text, J=J, certs={"domega_defect": (domega_defect, 1e-6)},
     )
 
 
@@ -386,45 +369,38 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
 
     For a constant-curvature base the almost-Killing space coincides with
     the full Killing algebra: dimension n(n+1)/2.  ``grad_f`` may supply the
-    analytic gradient; otherwise df is taken by centered differences.
+    analytic gradient; otherwise df is taken by centered differences.  The
+    entry carries no ``raw`` configuration, since ``f`` is Python code.
     """
     if g_kind not in _CLOSED_KINDS:
         raise ValueError(f"g_kind must be one of {sorted(_CLOSED_KINDS)}")
-    n, curv_kind = _CLOSED_KINDS[g_kind]
+    n = _CLOSED_KINDS[g_kind][0]
     chart = ChartDomain(_default_box(n) if box is None else box, fd_step)
-    if n == 2 and curv_kind != "flat":
-        g = _conformal_field(curv_kind)
-        target = _CURVATURE_2D[curv_kind]
-    else:
-        g = RiemannianField.constant(np.eye(n))
-        target = 0.0
     if grad_f is not None:
         tau = OneFormField(lambda x: np.asarray(grad_f(x), dtype=float), n)
     else:
         tau = gradient_one_form(chart, f)
+    return _closed_entry(g_kind, chart, tau, None)
 
-    data = RandersData(g, tau)
-    margin = _certify_margin(f"randers-closed[{g_kind}]", chart, data)
-    certs = {"convexity_margin": (margin, 0.0)}
-    zero = TwoFormField.constant(np.zeros((n, n)))
-    certs["dtau_defect"] = (_certify_dtau(chart, tau, zero, tol=1e-5), 1e-5)
-    tol = 1e-4 if curv_kind == "flat" else 1e-3
-    curv = _certify_curvature(chart, g, "constant-sectional", target, None, tol=tol)
-    certs["curvature_mean"] = (curv["mean"], tol)
-    certs["curvature_std"] = (curv["std"], tol)
 
-    return GalleryEntry(
-        name=f"randers-closed[{g_kind}]",
-        chart=chart,
-        g=g,
-        tau=tau,
-        c=0.0,
-        expected_dimension=n * (n + 1) // 2,
-        curvature_kind="constant-sectional",
-        curvature_target=target,
-        dtau=zero,
-        certificates=certs,
+def _closed_entry(g_kind: str, chart: ChartDomain, tau: OneFormField,
+                  tau_text: list[str] | None) -> GalleryEntry:
+    n, kind = _CLOSED_KINDS[g_kind]
+    tol = 1e-4 if kind == "flat" else 1e-3
+    return _certified(
+        f"randers-closed[{g_kind}]", chart,
+        RiemannianField.constant(np.eye(n)) if kind == "flat" else _conformal_field(kind),
+        tau, TwoFormField.constant(np.zeros((n, n))), c=0.0,
+        expected_dimension=n * (n + 1) // 2, curvature_target=_RADIAL[kind][3],
+        curvature_tol=tol, dtau_tol=1e-5, g_spec=_g_spec(kind, n), tau_text=tau_text,
     )
+
+
+def _analytic_df(g_kind: str, grad: Callable[[np.ndarray], np.ndarray],
+                 text: list[str]) -> GalleryEntry:
+    """A closed entry on the default box whose tau is ``grad``, written as ``text``."""
+    n = _CLOSED_KINDS[g_kind][0]
+    return _closed_entry(g_kind, ChartDomain(_default_box(n)), OneFormField(grad, n), text)
 
 
 # ---------------------------------------------------------------------------
@@ -437,92 +413,19 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
 _HYPERBOLIC_FD_STEP = 3e-4
 
 
-def gallery_entry_config(name: str, c: float | None = None) -> dict:
-    """The JSON configuration reproducing a named gallery entry.
-
-    The drift one-forms of the curved families are written in the
-    expression grammar with the closed-form amplitudes the constructors
-    use: the radial primitive A(r)(x1 dx2 - x2 dx1) has A = c/2 on the flat
-    chart, A = 2c/(1 + r^2) on the sphere chart and A = 2c/(1 - r^2) on the
-    hyperbolic chart.
-    """
-    catalog = gallery_catalog()
-    if name not in catalog:
-        raise KeyError(f"unknown gallery entry {name!r}; known: {sorted(catalog)}")
-    _, default_c = catalog[name]
-    c = default_c if c is None else c
-
-    def box(n, half=0.5):
-        return np.tile([-half, half], (n, 1)).tolist()
-
-    r2_2d = "(x1^2 + x2^2)"
-    r2_4d = "(x1^2 + x2^2 + x3^2 + x4^2)"
-    if name in ("example-2", "example-2-sphere", "example-2-4d"):
-        g = ({"kind": "sphere-conformal"} if name == "example-2-sphere"
-             else {"kind": "constant",
-                   "matrix": np.eye(2 if name == "example-2" else 4).tolist()})
-        f = {"example-2": "0.3*x1", "example-2-sphere": "0.1*sin(x1)",
-             "example-2-4d": "0.2*x1"}[name]
-        n = 4 if name == "example-2-4d" else 2
-        return {
-            "chart": {"box": box(n), "fd_step": 1e-3},
-            "metric": {"kind": "randers", "g": g, "tau": {"kind": "potential", "f": f}},
-            "seed": 0,
-        }
-    if name.startswith("example-2.5"):
-        kind = {"example-2.5": "flat", "example-2.5-sphere": "sphere",
-                "example-2.5-hyperbolic": "hyperbolic"}[name]
-        g = {"flat": {"kind": "constant", "matrix": np.eye(2).tolist()},
-             "sphere": {"kind": "sphere-conformal"},
-             "hyperbolic": {"kind": "hyperbolic-conformal"}}[kind]
-        amp = {"flat": f"({c}/2)",
-               "sphere": f"(2*{c}/(1 + {r2_2d}))",
-               "hyperbolic": f"(2*{c}/(1 - {r2_2d}))"}[kind]
-        tau = {"kind": "expressions",
-               "components": [f"-{amp}*x2", f"{amp}*x1"]}
-        return {
-            "chart": {"box": box(2),
-                      "fd_step": _HYPERBOLIC_FD_STEP if kind == "hyperbolic" else 1e-3},
-            "metric": {"kind": "randers", "g": g, "tau": tau},
-            "seed": 0,
-        }
-    if name in ("example-3", "example-3-c0"):
-        cc = 0.0 if name == "example-3-c0" else c
-        tau = {"kind": "expressions",
-               "components": [f"-({cc}/2)*x2", f"({cc}/2)*x1",
-                              f"-({cc}/2)*x4", f"({cc}/2)*x3"]}
-        return {
-            "chart": {"box": box(4), "fd_step": 1e-3},
-            "metric": {"kind": "randers",
-                       "g": {"kind": "constant", "matrix": np.eye(4).tolist()},
-                       "tau": tau},
-            "seed": 0,
-        }
-    if name == "fubini-study":
-        amp = f"({c}/(2*(1 + {r2_4d})))"
-        tau = {"kind": "expressions",
-               "components": [f"-{amp}*x2", f"{amp}*x1", f"-{amp}*x4", f"{amp}*x3"]}
-        return {
-            "chart": {"box": box(4, 0.35), "fd_step": 3e-4},
-            "metric": {"kind": "randers", "g": {"kind": "fubini-study"}, "tau": tau},
-            "seed": 0,
-        }
-    raise KeyError(name)
-
-
 def gallery_catalog() -> dict:
     """Name -> (constructor, default c) for the named gallery entries."""
     return {
-        "example-2": (lambda c: make_randers_closed(
-            "flat-2d", lambda x: 0.3 * x[..., 0],
-            grad_f=lambda x: np.stack([0.3 * np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1)), None),
-        "example-2-sphere": (lambda c: make_randers_closed(
-            "sphere-2d", lambda x: 0.1 * np.sin(x[..., 0]),
-            grad_f=lambda x: np.stack([0.1 * np.cos(x[..., 0]), np.zeros(x.shape[:-1])], axis=-1)), None),
-        "example-2-4d": (lambda c: make_randers_closed(
-            "flat-4d", lambda x: 0.2 * x[..., 0],
-            grad_f=lambda x: np.stack(
-                [0.2 * np.ones(x.shape[:-1])] + [np.zeros(x.shape[:-1])] * 3, axis=-1)), None),
+        "example-2": (lambda c: _analytic_df(
+            "flat-2d", lambda x: np.stack([0.3 * np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1),
+            ["0.3", "0"]), None),
+        "example-2-sphere": (lambda c: _analytic_df(
+            "sphere-2d", lambda x: np.stack([0.1 * np.cos(x[..., 0]), np.zeros(x.shape[:-1])], axis=-1),
+            ["0.1*cos(x1)", "0"]), None),
+        "example-2-4d": (lambda c: _analytic_df(
+            "flat-4d", lambda x: np.stack(
+                [0.2 * np.ones(x.shape[:-1])] + [np.zeros(x.shape[:-1])] * 3, axis=-1),
+            ["0.2", "0", "0", "0"]), None),
         "example-2.5": (lambda c: make_constant_curvature_2d("flat", c), 0.4),
         "example-2.5-sphere": (lambda c: make_constant_curvature_2d("sphere", c), 0.3),
         "example-2.5-hyperbolic": (lambda c: make_constant_curvature_2d(

@@ -160,6 +160,24 @@ class TestVerifyCommand:
         pts = entry.chart.sample_points(6, seed=2, margin=0.1)
         np.testing.assert_allclose(cfg.randers.tau(pts), entry.tau(pts), atol=1e-12)
 
+    def test_emit_config_holds_certified_box(self, tmp_path):
+        # c = 3 shrinks the box to +-0.4; the emitted config must carry it
+        cfg = tmp_path / "shrunk.json"
+        margins = []
+        for argv in (["example-2.5", "--c", "3.0", "--emit-config", str(cfg)],
+                     ["--config", str(cfg)]):
+            out = tmp_path / "report.json"
+            assert main(["verify", *argv, "--out", str(out)]) == 0
+            checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+            margins.append(checks["admissibility-margin"]["measured"])
+        assert margins == [0.15147186257614287] * 2
+
+    def test_emit_config_from_config(self, config_path, tmp_path):
+        emitted = tmp_path / "emitted.json"
+        main(["verify", "--config", config_path, "--segments", "4", "--iters", "10",
+              "--emit-config", str(emitted), "--out", str(tmp_path / "report.json")])
+        assert json.loads(emitted.read_text()) == CONFIG
+
 
 class TestOtherCommands:
     def test_betterment(self, capsys):
@@ -176,6 +194,13 @@ class TestOtherCommands:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["checks"][0]["measured"] == 3.0
+
+    def test_dimension_expect_flag_wins(self, capsys):
+        code = main(["dimension", "example-2.5", "--expect-dimension", "5",
+                     "--skip-crossval"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["checks"][0]["detail"]["expected"] == 5
 
     def test_distance(self, config_path, capsys):
         code = main(["distance", "--config", config_path,
