@@ -190,6 +190,21 @@ def test_config_roundtrip(name):
     assert np.abs(cfg.randers.tau(pts) - entry.tau(pts)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("name, fixture", [
+    ("example-2.5", "flat_25"),
+    ("example-2.5-sphere", "sphere_25"),
+    ("example-2.5-hyperbolic", "hyperbolic_25"),
+])
+def test_radial_tau_matches_config_expressions(name, fixture, request):
+    """The closed-form radial drift equals the catalog config's expression tau."""
+    from almostiso.config import config_from_dict
+
+    entry = request.getfixturevalue(fixture)
+    cfg = config_from_dict(build_gallery_entry(name, c=entry.c).raw)
+    pts = np.vstack([entry.chart.mesh_points(5), entry.chart.sample_points(64, seed=13)])
+    assert np.abs(entry.tau(pts) - cfg.randers.tau(pts)).max() <= 1e-15
+
+
 def test_fubini_study_c0_full_killing_dimension():
     """With no drift the dimension is the chart metric's own Killing count."""
     from almostiso import almost_killing_dimension, make_fubini_study_4d
