@@ -28,8 +28,7 @@ from .chart import (
     flow_map,
     flow_point_map,
     gradient_one_form,
-    lie_derivative_metric,
-    lie_derivative_two_form,
+    lie_derivative,
 )
 from .curvature import PlaneAtPoint, christoffels, curvature_sweep, sectional_curvature
 from .duality import (

@@ -292,48 +292,30 @@ def gradient_one_form(chart: ChartDomain, f: Callable[[np.ndarray], np.ndarray],
     return OneFormField(comps, chart.dim)
 
 
-def lie_derivative_metric(chart: ChartDomain, K: VectorField, g: RiemannianField,
-                          x, step: float | None = None) -> np.ndarray:
-    """(L_K g)_jl = K^a d_a g_jl + g_al d_j K^a + g_ja d_l K^a at ``x``."""
+def lie_derivative(chart: ChartDomain, K: VectorField, T: RiemannianField | TwoFormField,
+                   x, step: float | None = None) -> np.ndarray:
+    """(L_K T)_jl = K^a d_a T_jl + T_al d_j K^a + T_ja d_l K^a at ``x``.
+
+    The (0,2)-tensor formula, projected onto the symmetry of ``T``: the
+    antisymmetric part for a :class:`TwoFormField`, the symmetric part
+    otherwise.
+    """
     h = chart.fd_step if step is None else step
     chart.require_interior(x, margin=h)
     x = np.asarray(x, dtype=float)
     n = chart.dim
-    dg = np.moveaxis(_partials(g, x, n, h), 0, -3)       # (..., a, j, l)
+    dT = np.moveaxis(_partials(T, x, n, h), 0, -3)       # (..., a, j, l)
     dK = np.moveaxis(_partials(K, x, n, h), 0, -2)       # (..., j, a)
     Kx = K(x)
-    G = g(x)
+    Tx = T(x)
     out = (
-        np.einsum("...a,...ajl->...jl", Kx, dg)
-        + np.einsum("...al,...ja->...jl", G, dK)
-        + np.einsum("...ja,...la->...jl", G, dK)
+        np.einsum("...a,...ajl->...jl", Kx, dT)
+        + np.einsum("...al,...ja->...jl", Tx, dK)
+        + np.einsum("...ja,...la->...jl", Tx, dK)
     )
+    if isinstance(T, TwoFormField):
+        return 0.5 * (out - np.swapaxes(out, -1, -2))
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def lie_derivative_two_form(chart: ChartDomain, K: VectorField, beta: TwoFormField,
-                            x, step: float | None = None) -> np.ndarray:
-    """L_K beta at ``x`` via the Cartan formula d(i_K beta) + i_K d(beta)."""
-    h = chart.fd_step if step is None else step
-    chart.require_interior(x, margin=h)
-    x = np.asarray(x, dtype=float)
-    n = chart.dim
-
-    contraction = OneFormField(
-        lambda p: np.einsum("...a,...aj->...j", K(p), beta(p)), n
-    )
-    d_iota = exterior_derivative(chart, contraction, x, step=h)
-
-    db = np.moveaxis(_partials(beta, x, n, h), 0, -3)    # (..., a, i, j)
-    Kx = K(x)
-    # (i_K dbeta)_jk = K^i (d_i b_jk + d_j b_ki + d_k b_ij)
-    iota_db = (
-        np.einsum("...i,...ijk->...jk", Kx, db)
-        + np.einsum("...i,...jki->...jk", Kx, db)
-        + np.einsum("...i,...kij->...jk", Kx, db)
-    )
-    out = d_iota + iota_db
-    return 0.5 * (out - np.swapaxes(out, -1, -2))
 
 
 def flow_map(chart: ChartDomain, K: VectorField, t: float, x, n_steps: int = 64) -> np.ndarray:

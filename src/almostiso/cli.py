@@ -367,19 +367,20 @@ def cmd_triangle(args) -> int:
     return _emit(report, args)
 
 
-def _add_common(p: argparse.ArgumentParser, with_example: bool = True) -> None:
-    if with_example:
-        p.add_argument("example", nargs="?", default=None,
-                       help="gallery entry name (or use --config)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("example", nargs="?", default=None,
+                   help="gallery entry name (or use --config)")
     p.add_argument("--config", help="JSON metric configuration file")
     p.add_argument("--c", type=float, default=None, help="override the d(tau) constant")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+
+
+def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segments", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--grid-m", type=int, default=None, dest="grid_m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the certificate suite")
     _add_common(p)
+    _add_solver(p)
+    p.add_argument("--grid-m", type=int, default=None, dest="grid_m")
     p.add_argument("--sv-threshold", type=float, default=None, dest="sv_threshold")
     p.add_argument("--expect-dimension", type=int, default=None, dest="expect_dimension")
     p.add_argument("--emit-config", dest="emit_config",
@@ -397,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betterment", help="dual-body recentering pipeline")
     _add_common(p)
+    p.add_argument("--grid-m", type=int, default=None, dest="grid_m")
     p.add_argument("--point", help="chart point 'x1,x2,...' (default: box center)")
     p.add_argument("--frame", action="store_true", help="compute in a g-orthonormal frame")
     p.add_argument("--samples-out", dest="samples_out", help="CSV path for recentred samples")
@@ -404,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="almost-Killing dimension with spectrum")
     _add_common(p)
+    _add_solver(p)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--sv-threshold", type=float, default=None, dest="sv_threshold")
     p.add_argument("--expect-dimension", type=int, default=None, dest="expect_dimension")
@@ -412,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="distance d, refined, cauchy_difference, reverse")
     _add_common(p)
+    _add_solver(p)
     p.add_argument("--from", dest="src", required=True, help="start point 'x1,x2,...'")
     p.add_argument("--to", dest="dst", required=True, help="end point 'x1,x2,...'")
     p.set_defaults(fn=cmd_distance)
@@ -435,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="triangular function on seeded triples")
     _add_common(p)
+    _add_solver(p)
     p.add_argument("--triples", type=int, default=10)
     p.add_argument("--flow-field", dest="flow_field",
                    help="semicolon-separated component expressions of a flow field")

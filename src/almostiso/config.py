@@ -14,10 +14,10 @@ Schema (all lengths in chart coordinate units)::
                | {"kind": "expressions", "components": ["0.2*x1", "0"]}
                | {"kind": "potential", "f": "0.1*sin(x1)"}
       },
-      "grid":   {"m": 512},
-      "solver": {"segments": 16, "iters": 400},
-      "seed":   0
+      "solver": {"segments": 16, "iters": 400}
     }
+
+Other keys are ignored.
 
 Component expressions use the built-in arithmetic grammar (see
 :mod:`almostiso.expressions`); no host-language code is ever evaluated.
@@ -33,7 +33,7 @@ import numpy as np
 from .chart import ChartDomain, OneFormField, RiemannianField, _partials
 from .expressions import compile_expression
 from .gallery import _conformal_field, _fs_metric_components
-from .metric import MetricField, RandersData, randers_metric
+from .metric import RandersData
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
 
@@ -42,11 +42,8 @@ __all__ = ["RunConfig", "load_config", "config_from_dict"]
 class RunConfig:
     chart: ChartDomain
     randers: RandersData
-    metric: MetricField
-    grid_m: int | None
     segments: int
     iters: int
-    seed: int
     raw: dict
 
 
@@ -100,17 +97,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     g = _g_field(metric_spec.get("g", {"kind": "constant", "matrix": np.eye(dim).tolist()}), dim)
     tau = _tau_field(metric_spec.get("tau", {"kind": "constant",
                                              "components": [0.0] * dim}), dim, chart)
-    data = RandersData(g, tau)
 
     solver = raw.get("solver", {})
     return RunConfig(
         chart=chart,
-        randers=data,
-        metric=randers_metric(data, chart=chart),
-        grid_m=raw.get("grid", {}).get("m"),
+        randers=RandersData(g, tau),
         segments=int(solver.get("segments", 16)),
         iters=int(solver.get("iters", 400)),
-        seed=int(raw.get("seed", 0)),
         raw=raw,
     )
 

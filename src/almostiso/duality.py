@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi
 
 from .errors import (
     ConvexityError,
@@ -137,6 +136,8 @@ def icosphere_grid(level: int = 4) -> DirectionGrid:
     Weights are the spherical Voronoi cell areas of the vertices, rescaled
     so they sum to 4*pi exactly.
     """
+    from scipy.spatial import SphericalVoronoi  # deferred: scipy.spatial dominates import time
+
     verts, faces = _icosahedron()
     for _ in range(level):
         edge_mid = {}

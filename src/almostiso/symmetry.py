@@ -164,52 +164,34 @@ def build_residual(g: RiemannianField, dtau: TwoFormField | None,
         raise UnderdeterminedSystemError(
             f"need >= {3 * ansatz.n_coefficients} sample points, got {len(X)}"
         )
-    m = len(X)
-    G = g(X)
-    dG = np.moveaxis(_partials(g, X, n, h), 0, -3)       # (m, a, j, l)
-    if dtau is not None:
-        B = dtau(X)
-        dB = np.moveaxis(_partials(dtau, X, n, h), 0, -3)
-
-    sym_idx = [(j, l) for j in range(n) for l in range(j, n)]
-    skew_idx = [(j, l) for j in range(n) for l in range(j + 1, n)]
     mono_vals = np.stack([_mono_values(a, X) for a in ansatz.exponents], axis=1)
     mono_grad = np.stack(
         [np.stack([_mono_partial(a, j, X) for j in range(n)], axis=1) for a in ansatz.exponents],
         axis=1,
     )  # (m, n_mono, n): d_j x^alpha
+    V = mono_vals[:, None, None, :]
 
-    cols_g = np.empty((m, len(sym_idx), ansatz.n_coefficients))
-    cols_b = np.empty((m, len(skew_idx), ansatz.n_coefficients)) if dtau is not None else None
+    def block(T, offset):
+        # entry (j, l) of column (i, alpha), i.e. of L_K T for K = x^alpha d/dx_i:
+        # x^alpha d_i T_jl + T_il d_j x^alpha + T_ji d_l x^alpha
+        j, l = np.triu_indices(n, offset)
+        Tx = T(X)
+        dT = np.moveaxis(_partials(T, X, n, h), 0, 1)     # (m, i, j, l)
+        dV_j = np.swapaxes(mono_grad[:, :, j], 1, 2)[:, :, None, :]
+        dV_l = np.swapaxes(mono_grad[:, :, l], 1, 2)[:, :, None, :]
+        L = (
+            V * np.swapaxes(dT[:, :, j, l], 1, 2)[..., None]
+            + np.swapaxes(Tx[:, :, l], 1, 2)[..., None] * dV_j
+            + Tx[:, j, :][..., None] * dV_l
+        )  # (m, pair, i, alpha)
+        return L.reshape(-1, ansatz.n_coefficients)
 
-    col = 0
-    for i in range(n):
-        for a_idx in range(ansatz.n_monomials):
-            Ka = mono_vals[:, a_idx]          # K^i = x^alpha
-            dK = mono_grad[:, a_idx]          # (m, n): d_j K^i
-            LG = (
-                Ka[:, None, None] * dG[:, i]
-                + G[:, i, :][:, None, :] * dK[:, :, None]
-                + G[:, :, i][:, :, None] * dK[:, None, :]
-            )
-            cols_g[:, :, col] = np.stack([LG[:, j, l] for (j, l) in sym_idx], axis=1)
-            if dtau is not None:
-                LB = (
-                    Ka[:, None, None] * dB[:, i]
-                    + B[:, i, :][:, None, :] * dK[:, :, None]
-                    + B[:, :, i][:, :, None] * dK[:, None, :]
-                )
-                cols_b[:, :, col] = np.stack([LB[:, j, l] for (j, l) in skew_idx], axis=1)
-            col += 1
-
-    blocks = [cols_g.reshape(m * len(sym_idx), -1)]
-    form_rows = 0
+    blocks = [block(g, 0)]
     if dtau is not None:
-        blocks.append(cols_b.reshape(m * len(skew_idx), -1))
-        form_rows = m * len(skew_idx)
-    R = np.vstack(blocks)
-    return ResidualMatrix(matrix=R, points=X, fd_step=h,
-                          metric_rows=m * len(sym_idx), form_rows=form_rows)
+        blocks.append(block(dtau, 1))
+    return ResidualMatrix(matrix=np.vstack(blocks), points=X, fd_step=h,
+                          metric_rows=len(blocks[0]),
+                          form_rows=len(blocks[1]) if dtau is not None else 0)
 
 
 @dataclass(frozen=True)
@@ -227,24 +209,25 @@ def nullspace_dimension(R: ResidualMatrix | np.ndarray, sv_threshold: float = 1e
     """Count singular values below ``sv_threshold`` times the largest.
 
     ``gap`` is the ratio of the smallest retained to the largest dropped
-    singular value; a gap below 10 attaches an ambiguous-rank warning
-    instead of raising.
+    singular value (``inf`` when nothing is retained or every dropped value
+    is exactly zero); a gap below 10 attaches an ambiguous-rank warning
+    instead of raising.  An all-zero matrix has no scale, and its whole
+    spectrum is null.
     """
     M = R.matrix if isinstance(R, ResidualMatrix) else np.asarray(R, dtype=float)
     _, sv, Vh = np.linalg.svd(M, full_matrices=False)
-    rel = sv / sv[0]
+    rel = sv / sv[0] if sv[0] > 0 else sv
     null_mask = rel < sv_threshold
     dim = int(null_mask.sum())
     basis = Vh[len(sv) - dim:] if dim else np.empty((0, M.shape[1]))
     if dim == 0:
         # nothing dropped: report the margin of the smallest value above the cut
         gap = float(rel[-1] / sv_threshold)
-        warning = None
     else:
         kept = rel[~null_mask]
-        dropped = rel[null_mask]
-        gap = float(kept.min() / dropped.max()) if len(kept) else float("inf")
-        warning = None
+        top = rel[null_mask].max()
+        gap = float(kept.min() / top) if len(kept) and top > 0 else float("inf")
+    warning = None
     if np.isfinite(gap) and gap < 10.0:
         warning = f"ambiguous rank: spectral gap {gap:.3g} < 10"
     return NullspaceResult(dimension=dim, basis=basis, gap=gap,
@@ -262,45 +245,32 @@ class InvariantFormsResult:
     singular_values: np.ndarray
 
 
-def _lambda2_basis(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def invariant_two_forms(generators, threshold: float = 1e-9) -> InvariantFormsResult:
     """Common kernel of a Lie algebra acting on 2-forms.
 
     A generator A acts on a form beta by ``(A . beta) = A^T beta + beta A``
     (minus the commutator action for antisymmetric A); the invariant forms
-    are the joint nullspace over all generators.
+    are the joint nullspace over all generators, cut by
+    :func:`nullspace_dimension`.
     """
-    gens = [np.asarray(A, dtype=float) for A in generators]
-    n = gens[0].shape[0]
-    for A in gens:
-        if A.shape != (n, n) or np.abs(A + A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
-            raise ValueError("generators must be antisymmetric matrices of equal size")
-    pairs = _lambda2_basis(n)
-    N = len(pairs)
-    rows = []
-    for A in gens:
-        M = np.zeros((N, N))
-        for col, (i, j) in enumerate(pairs):
-            beta = np.zeros((n, n))
-            beta[i, j] = 1.0
-            beta[j, i] = -1.0
-            acted = A.T @ beta + beta @ A
-            M[:, col] = [acted[a, b] for (a, b) in pairs]
-        rows.append(M)
-    stacked = np.vstack(rows)
-    _, sv, Vh = np.linalg.svd(stacked)
-    scale = sv[0] if sv[0] > 0 else 1.0
-    dim = int((sv < threshold * scale).sum()) + (N - len(sv) if N > len(sv) else 0)
-    basis_vecs = Vh[N - dim:] if dim else np.empty((0, N))
-    mats = np.zeros((dim, n, n))
-    for k, vec in enumerate(basis_vecs):
-        for c, (i, j) in enumerate(pairs):
-            mats[k, i, j] = vec[c]
-            mats[k, j, i] = -vec[c]
-    return InvariantFormsResult(dimension=dim, basis=mats, singular_values=sv)
+    A = np.asarray([np.asarray(a, dtype=float) for a in generators])
+    n = A.shape[-1]
+    if A.ndim != 3 or A.shape[1] != n or any(
+            np.abs(a + a.T).max() > 1e-12 * max(1.0, np.abs(a).max()) for a in A):
+        raise ValueError("generators must be antisymmetric matrices of equal size")
+    i, j = np.triu_indices(n, 1)
+    N = len(i)
+    beta = np.zeros((N, n, n))                            # basis forms e_i ^ e_j
+    beta[np.arange(N), i, j] = 1.0
+    beta[np.arange(N), j, i] = -1.0
+    acted = np.swapaxes(A, 1, 2)[:, None] @ beta + beta @ A[:, None]   # (gen, col, n, n)
+    stacked = np.swapaxes(acted[:, :, i, j], 1, 2).reshape(-1, N)
+    null = nullspace_dimension(stacked, sv_threshold=threshold)
+    mats = np.zeros((null.dimension, n, n))
+    mats[:, i, j] = null.basis
+    mats[:, j, i] = -null.basis
+    return InvariantFormsResult(dimension=null.dimension, basis=mats,
+                                singular_values=null.singular_values)
 
 
 def so_generators(n: int) -> list[np.ndarray]:
@@ -377,24 +347,21 @@ class AlmostKillingReport:
 
 def flow_cross_validation(chart: ChartDomain, g: RiemannianField, tau: OneFormField,
                           basis: np.ndarray, degree: int = 2, seed: int = 101,
-                          n_triples: int = 10, flow_time: float | None = None,
-                          segments: int = 16, iters: int = 400, t_tolerance: float = 1e-4,
+                          n_triples: int = 10, segments: int = 16, iters: int = 400,
                           raise_on_failure: bool = True) -> list:
     """Flow check linking the infinitesimal and finite pictures.
 
     Each basis field (coefficients of the degree-``degree`` ansatz) is
-    normalized to unit sup-norm and flowed for ``flow_time``; the triangular
-    function must be preserved on triples seeded with ``seed + 1`` to within
-    ``t_tolerance``.  Returns one ``{"field", "max_t_diff"}`` record per
-    basis field.
+    normalized to unit sup-norm and flowed for 0.2 times the smallest box
+    edge, which keeps the flowed triples well inside the box; the
+    triangular function must be preserved on triples seeded with
+    ``seed + 1`` to within 1e-4.  Returns one ``{"field", "max_t_diff"}``
+    record per basis field.
     """
     if not len(basis):
         return []
     ansatz = VectorFieldAnsatz(chart.dim, degree)
-    if flow_time is None:
-        # sup-normalized fields move points by roughly the flow time;
-        # keep the flowed triples well inside the box
-        flow_time = 0.4 * chart.edges.min() / 2.0
+    flow_time = 0.2 * chart.edges.min()
     F = randers_metric(RandersData(g, tau), chart=chart)
     triples = seeded_triples(chart, n_triples, seed=seed + 1,
                              margin=0.35 * chart.edges.min())
@@ -414,10 +381,10 @@ def flow_cross_validation(chart: ChartDomain, g: RiemannianField, tau: OneFormFi
         t_field = t_all[(b_idx + 1) * n_triples:(b_idx + 2) * n_triples]
         diff = float(np.abs(t_field - base).max())
         cross.append({"field": b_idx, "max_t_diff": diff})
-        if raise_on_failure and diff > t_tolerance:
+        if raise_on_failure and diff > 1e-4:
             raise InconsistencyError(
                 f"basis field {b_idx} fails flow cross-validation: "
-                f"max T deviation {diff:.3g} > {t_tolerance:g} "
+                f"max T deviation {diff:.3g} > 1e-4 "
                 "(ansatz degree or tolerances are misconfigured)"
             )
     return cross
@@ -430,28 +397,24 @@ def almost_killing_dimension(
     degree: int = 2,
     dtau: TwoFormField | None = None,
     sv_threshold: float = 1e-6,
-    h: float | None = None,
-    points_per_coefficient: int = 5,
     seed: int = 101,
     cross_validate: bool = True,
     n_triples: int = 10,
-    flow_time: float | None = None,
     segments: int = 16,
     iters: int = 400,
-    t_tolerance: float = 1e-4,
     raise_on_failure: bool = True,
 ) -> AlmostKillingReport:
     """Dimension of the almost-Killing space of the Randers norm of (g, tau).
 
     Pipeline: d(tau) (analytic override or centered differences), residual
-    matrix over a seeded low-discrepancy sample, SVD nullspace, and - when
+    matrix over a seeded low-discrepancy sample of five points per ansatz
+    coefficient with the chart's ``fd_step``, SVD nullspace, and - when
     ``cross_validate`` is set - :func:`flow_cross_validation` of the basis.
     """
-    h = chart.fd_step if h is None else h
+    h = chart.fd_step
     ansatz = VectorFieldAnsatz(chart.dim, degree)
     margin = max(3.0 * h, 0.05 * chart.edges.min())
-    pts = chart.sample_points(points_per_coefficient * ansatz.n_coefficients,
-                              seed=seed, margin=margin)
+    pts = chart.sample_points(5 * ansatz.n_coefficients, seed=seed, margin=margin)
     beta = dtau if dtau is not None else exterior_derivative_field(chart, tau)
     R = build_residual(g, beta, ansatz, pts, h=h)
     null = nullspace_dimension(R, sv_threshold=sv_threshold)
@@ -460,8 +423,7 @@ def almost_killing_dimension(
     if cross_validate and null.dimension:
         cross = flow_cross_validation(
             chart, g, tau, null.basis, degree=degree, seed=seed, n_triples=n_triples,
-            flow_time=flow_time, segments=segments, iters=iters,
-            t_tolerance=t_tolerance, raise_on_failure=raise_on_failure,
+            segments=segments, iters=iters, raise_on_failure=raise_on_failure,
         )
 
     return AlmostKillingReport(

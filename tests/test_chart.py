@@ -12,8 +12,7 @@ from almostiso import (
     exterior_derivative,
     flow_map,
     gradient_one_form,
-    lie_derivative_metric,
-    lie_derivative_two_form,
+    lie_derivative,
 )
 from almostiso.errors import BoundaryError, DomainEscapeError
 
@@ -90,39 +89,39 @@ class TestExteriorDerivative:
 class TestLieDerivativeMetric:
     def test_translation_is_killing(self):
         K = VectorField.constant([1.0, 0.0])
-        val = lie_derivative_metric(CHART, K, FLAT, np.array([0.1, 0.2]))
+        val = lie_derivative(CHART, K, FLAT, np.array([0.1, 0.2]))
         assert np.abs(val).max() < FD_TOL
 
     def test_rotation_is_killing(self):
-        val = lie_derivative_metric(CHART, ROTATION, FLAT, np.array([0.3, -0.1]))
+        val = lie_derivative(CHART, ROTATION, FLAT, np.array([0.3, -0.1]))
         assert np.abs(val).max() < FD_TOL
 
     def test_stretch_field(self):
         # symbolic: L_K g = (d_i K_j + d_j K_i) for flat g, K = (x1, 0)
         K = VectorField(lambda x: np.stack([x[..., 0], np.zeros(x.shape[:-1])], axis=-1), 2)
-        val = lie_derivative_metric(CHART, K, FLAT, np.array([0.2, 0.2]))
+        val = lie_derivative(CHART, K, FLAT, np.array([0.2, 0.2]))
         assert np.abs(val - np.diag([2.0, 0.0])).max() < FD_TOL
 
     def test_output_symmetric(self):
         K = VectorField(lambda x: np.stack([x[..., 1] ** 2, x[..., 0]], axis=-1), 2)
-        val = lie_derivative_metric(CHART, K, FLAT, np.array([0.1, 0.1]))
+        val = lie_derivative(CHART, K, FLAT, np.array([0.1, 0.1]))
         assert np.array_equal(val, val.T)
 
 
 class TestLieDerivativeTwoForm:
     def test_translation_preserves_constant_form(self):
         K = VectorField.constant([1.0, 0.0])
-        val = lie_derivative_two_form(CHART, K, AREA_FORM, np.array([0.0, 0.0]))
+        val = lie_derivative(CHART, K, AREA_FORM, np.array([0.0, 0.0]))
         assert np.abs(val).max() < FD_TOL
 
     def test_rotation_preserves_area(self):
-        val = lie_derivative_two_form(CHART, ROTATION, AREA_FORM, np.array([0.2, -0.3]))
+        val = lie_derivative(CHART, ROTATION, AREA_FORM, np.array([0.2, -0.3]))
         assert np.abs(val).max() < FD_TOL
 
     def test_stretch_expands_area(self):
-        # Cartan formula, symbolic: L_{x1 d1} (dx1^dx2) = dx1^dx2
+        # symbolic: L_{x1 d1} (dx1^dx2) = dx1^dx2
         K = VectorField(lambda x: np.stack([x[..., 0], np.zeros(x.shape[:-1])], axis=-1), 2)
-        val = lie_derivative_two_form(CHART, K, AREA_FORM, np.array([0.25, 0.1]))
+        val = lie_derivative(CHART, K, AREA_FORM, np.array([0.25, 0.1]))
         assert abs(val[0, 1] - 1.0) < FD_TOL
 
 
@@ -180,14 +179,18 @@ def test_convergence_order_second():
     assert 3.5 < ratio < 4.5
 
 
-def test_convergence_order_lie_derivative():
+@pytest.mark.parametrize("T", [
+    RiemannianField.conformal(lambda x: np.exp(0.5 * x[..., 0] ** 3), 2),
+    TwoFormField(lambda x: (np.exp(0.5 * x[..., 0] ** 3) * np.cos(x[..., 1]))[..., None, None]
+                 * np.array([[0.0, 1.0], [-1.0, 0.0]]), 2),
+], ids=["metric", "two-form"])
+def test_convergence_order_lie_derivative(T):
     """The Lie-derivative operator shares the second-order convergence."""
-    g = RiemannianField.conformal(lambda x: np.exp(0.5 * x[..., 0] ** 3), 2)
     K = VectorField(lambda x: np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1), 2)
     x = np.array([0.3, 0.2])
     # reference from a much finer step
-    ref = lie_derivative_metric(CHART, K, g, x, step=6.25e-5)
-    errs = [np.abs(lie_derivative_metric(CHART, K, g, x, step=h) - ref).max()
+    ref = lie_derivative(CHART, K, T, x, step=6.25e-5)
+    errs = [np.abs(lie_derivative(CHART, K, T, x, step=h) - ref).max()
             for h in (2e-3, 1e-3)]
     assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -218,8 +221,9 @@ def test_riemannian_field_validation(n):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats (Sobol samples) and scipy.optimize (support LPs) load on
-    # first use: importing them cost about half of `import almostiso`
+    # scipy.stats (Sobol samples), scipy.optimize (support LPs) and
+    # scipy.spatial (3D grid weights) load on first use: importing them cost
+    # most of `import almostiso`
     import os
     import subprocess
     import sys
@@ -228,7 +232,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(almostiso.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import almostiso; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

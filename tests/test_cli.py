@@ -56,6 +56,15 @@ class TestVerifyCommand:
     def test_missing_target_exit_2(self):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "example-2.5", "--grid-m", "64"],
+        ["betterment", "example-2.5", "--iters", "5"],
+    ])
+    def test_flag_the_command_ignores_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_verify_flat_25(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "example-2.5", "--c", "0.4", "--out", str(out)])

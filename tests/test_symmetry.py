@@ -1,5 +1,7 @@
 """Residual matrices, nullspace dimensions, and invariant 2-forms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,15 @@ from almostiso import (
     almost_killing_dimension,
     build_residual,
     invariant_two_forms,
+    lie_derivative,
     nullspace_dimension,
     so_generators,
     standard_complex_structure,
     u2_generators,
 )
+from almostiso.chart import _partials
 from almostiso.errors import UnderdeterminedSystemError
+from almostiso.symmetry import _mono_partial, _mono_values
 
 CHART2 = ChartDomain([[-0.5, 0.5], [-0.5, 0.5]], fd_step=1e-3)
 FLAT2 = RiemannianField.constant(np.eye(2))
@@ -26,6 +31,15 @@ FLAT4 = RiemannianField.constant(np.eye(4))
 
 def sample(chart, ansatz, factor=5):
     return chart.sample_points(factor * ansatz.n_coefficients, seed=42, margin=0.05)
+
+
+def entry_residual(entry):
+    """A gallery entry's degree-2 residual at seeded interior points."""
+    chart = entry.chart
+    ansatz = VectorFieldAnsatz(chart.dim, 2)
+    pts = chart.sample_points(5 * ansatz.n_coefficients, seed=101,
+                              margin=0.05 * chart.edges.min())
+    return chart, ansatz, pts, build_residual(entry.g, entry.dtau, ansatz, pts, h=chart.fd_step)
 
 
 class TestAnsatz:
@@ -93,6 +107,49 @@ class TestBuildResidual:
         assert R.form_rows == len(pts) * 1
         assert R.matrix.shape == (len(pts) * 4, 12)
 
+    @pytest.mark.parametrize("entry_name", ["flat_25", "sphere_25", "kahler_3"])
+    def test_columns_match_lie_derivative(self, entry_name, request):
+        # column c holds the independent components of L_K g and L_K dtau
+        # for the ansatz field K = e_c, at every sample point
+        entry = request.getfixturevalue(entry_name)
+        chart, ansatz, pts, R = entry_residual(entry)
+        n = chart.dim
+        sym, skew = np.triu_indices(n), np.triu_indices(n, 1)
+        g_rows = R.matrix[:R.metric_rows].reshape(len(pts), len(sym[0]), -1)
+        form_rows = R.matrix[R.metric_rows:].reshape(len(pts), len(skew[0]), -1)
+        x = pts[:3]
+        tol = 10 * chart.fd_step ** 2
+        for c, e_c in enumerate(np.eye(ansatz.n_coefficients)):
+            K = ansatz.field(e_c)
+            Lg = lie_derivative(chart, K, entry.g, x)
+            Lb = lie_derivative(chart, K, entry.dtau, x)
+            np.testing.assert_allclose(g_rows[:3, :, c], Lg[:, sym[0], sym[1]], rtol=0, atol=tol)
+            np.testing.assert_allclose(form_rows[:3, :, c], Lb[:, skew[0], skew[1]],
+                                       rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("entry_name", ["sphere_25", "kahler_3"])
+    def test_equals_per_column_loop(self, entry_name, request):
+        # the broadcast assembly does the loop's arithmetic in the loop's order
+        entry = request.getfixturevalue(entry_name)
+        chart, ansatz, pts, R = entry_residual(entry)
+        n, h = chart.dim, chart.fd_step
+        blocks = []
+        for T, offset in ((entry.g, 0), (entry.dtau, 1)):
+            j, l = np.triu_indices(n, offset)
+            Tx = T(pts)
+            dT = np.moveaxis(_partials(T, pts, n, h), 0, 1)
+            cols = []
+            for i in range(n):
+                for alpha in ansatz.exponents:
+                    Ka = _mono_values(alpha, pts)
+                    dK = np.stack([_mono_partial(alpha, a, pts) for a in range(n)], axis=1)
+                    L = (Ka[:, None, None] * dT[:, i]
+                         + Tx[:, i, :][:, None, :] * dK[:, :, None]
+                         + Tx[:, :, i][:, :, None] * dK[:, None, :])
+                    cols.append(L[:, j, l])
+            blocks.append(np.stack(cols, axis=-1).reshape(-1, len(cols)))
+        assert np.array_equal(R.matrix, np.vstack(blocks))
+
 
 class TestNullspaceDimension:
     def test_area_form_dimensions(self):
@@ -137,6 +194,24 @@ class TestNullspaceDimension:
         R = build_residual(FLAT2, beta, ansatz, sample(CHART2, ansatz), h=1e-3)
         dims = {nullspace_dimension(R, thr).dimension for thr in (1e-7, 1e-6, 1e-5)}
         assert dims == {3}
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_matrix_is_all_null(self):
+        res = nullspace_dimension(np.zeros((6, 3)))
+        assert res.dimension == 3
+        assert res.basis.shape == (3, 3)
+        assert res.gap == math.inf
+        assert res.warning is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_exactly_zero_dropped_value(self):
+        M = np.vstack([np.diag([2.0, 1.0, 0.0]), np.zeros((3, 3))])
+        res = nullspace_dimension(M)
+        assert res.dimension == 1
+        assert res.gap == math.inf
+        assert res.warning is None
+        # the u(2) action on 2-forms has an exactly zero singular value
+        assert invariant_two_forms(u2_generators()).dimension == 1
 
 
 class TestInvariantTwoForms:
