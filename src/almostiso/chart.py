@@ -9,7 +9,7 @@ step-halving.  Evaluators are pure; nothing here holds mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -212,14 +212,21 @@ class TwoFormField:
 
 @dataclass(frozen=True)
 class RiemannianField:
-    """Symmetric metric component field: ``(..., n)`` -> ``(..., n, n)``."""
+    """Symmetric metric component field: ``(..., n)`` -> ``(..., n, n)``.
+
+    ``matrix`` is set only by :meth:`constant`: the read-only value of a
+    field that does not depend on the point.
+    """
 
     components: Callable[[np.ndarray], np.ndarray]
     dim: int
+    matrix: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __call__(self, x) -> np.ndarray:
         n = self.dim
         out = _eval_shaped(self.components, x, n, (n, n))
+        if self.matrix is not None:
+            return out      # checked once, in constant()
         # max propagates NaN and inf: one reduction is the finiteness test
         # and the scale; the +-1 pair matrix then differences exactly
         peak = float(np.abs(out).max())
@@ -232,9 +239,20 @@ class RiemannianField:
 
     @staticmethod
     def constant(matrix) -> "RiemannianField":
-        matrix = np.asarray(matrix, dtype=float)
+        """The field ``x -> matrix``.
+
+        The matrix is validated once, here, by the shape, finiteness and
+        symmetry checks every evaluation of a general field makes; each
+        evaluation then returns a read-only broadcast view of it, neither
+        copied nor checked again.
+        """
+        matrix = np.array(matrix, dtype=float)
         n = matrix.shape[0]
-        return RiemannianField(lambda x: np.broadcast_to(matrix, x.shape[:-1] + (n, n)).copy(), n)
+        RiemannianField(lambda x: matrix, n)(np.zeros(n))
+        matrix.flags.writeable = False
+        g = RiemannianField(lambda x: np.broadcast_to(matrix, x.shape[:-1] + (n, n)), n)
+        object.__setattr__(g, "matrix", matrix)
+        return g
 
     @staticmethod
     def conformal(factor: Callable[[np.ndarray], np.ndarray], dim: int) -> "RiemannianField":

@@ -41,6 +41,7 @@ from .geodesic import distance, seeded_triples, t_invariance_check, triangular_b
 from .metric import convexity_margin, randers_metric
 from .report import CheckRecord, VerificationReport, inputs_digest
 from .symmetry import (
+    _spectrum_cut,
     almost_killing_dimension,
     flow_cross_validation,
     invariant_two_forms,
@@ -178,8 +179,8 @@ def cmd_verify(args) -> int:
     report.add(CheckRecord("spectral-gap", digest, rep.gap, 1e2, rep.gap > 1e2))
 
     # other cuts of the same spectrum, made as nullspace_dimension makes them
-    rel = rep.singular_values / rep.singular_values[0]
-    stable = max(abs(int((rel < t).sum()) - rep.dimension) for t in (1e-7, 1e-5))
+    stable = max(abs(int(_spectrum_cut(rep.singular_values, t)[1].sum()) - rep.dimension)
+                 for t in (1e-7, 1e-5))
     report.add(CheckRecord("threshold-stability", digest, float(stable), 0.0, stable == 0))
 
     cross, dt = _timed(lambda: flow_cross_validation(

@@ -193,6 +193,8 @@ _RADIAL = {
 
 
 def _conformal_field(kind: str, dim: int = 2) -> RiemannianField:
+    if kind == "flat":
+        return RiemannianField.constant(np.eye(dim))
     factor = _RADIAL[kind][0]
     return RiemannianField.conformal(lambda x: factor((x ** 2).sum(axis=-1)), dim)
 
@@ -389,7 +391,7 @@ def _closed_entry(g_kind: str, chart: ChartDomain, tau: OneFormField,
     tol = 1e-4 if kind == "flat" else 1e-3
     return _certified(
         f"randers-closed[{g_kind}]", chart,
-        RiemannianField.constant(np.eye(n)) if kind == "flat" else _conformal_field(kind),
+        _conformal_field(kind, n),
         tau, TwoFormField.constant(np.zeros((n, n))), c=0.0,
         expected_dimension=n * (n + 1) // 2, curvature_target=_RADIAL[kind][3],
         curvature_tol=tol, dtau_tol=1e-5, g_spec=_g_spec(kind, n), tau_text=tau_text,

@@ -114,8 +114,10 @@ def randers_eval(data: RandersData, x, y, validate: bool = True) -> np.ndarray:
                 point=x,
             )
     # y . (G y) as two two-operand products: about half the time of one
-    # three-operand einsum on solver-sized batches
-    Gy = np.einsum("...ij,...j->...i", data.g(x), y)
+    # three-operand einsum on solver-sized batches; a constant G is one
+    # matmul, exact for G = I
+    M = data.g.matrix
+    Gy = y @ M if M is not None else np.einsum("...ij,...j->...i", data.g(x), y)
     quad = np.einsum("...i,...i->...", y, Gy)
     lin = np.einsum("...i,...i->...", data.tau(x), y)
     return np.sqrt(quad) + lin

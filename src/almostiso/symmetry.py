@@ -68,20 +68,21 @@ def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _mono_values(alpha: tuple[int, ...], X: np.ndarray) -> np.ndarray:
-    v = np.ones(len(X))
-    for i, p in enumerate(alpha):
-        if p:
-            v = v * X[:, i] ** p
-    return v
+def _monomial_table(exponents, degree: int) -> np.ndarray:
+    """``(len(exponents), degree)`` columns of ``[1, X]`` whose product is each monomial.
+
+    Row ``x1^2 x3`` at degree 4 is ``(0, 1, 1, 3)``: the ones column pads
+    every monomial to ``degree`` factors, and the axes ascend.
+    """
+    rows = [[0] * (degree - sum(a)) + [i + 1 for i, p in enumerate(a) for _ in range(p)]
+            for a in exponents]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), degree)
 
 
-def _mono_partial(alpha: tuple[int, ...], j: int, X: np.ndarray) -> np.ndarray:
-    if alpha[j] == 0:
-        return np.zeros(len(X))
-    lowered = list(alpha)
-    lowered[j] -= 1
-    return alpha[j] * _mono_values(tuple(lowered), X)
+def _monomial_values(table: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``(m, len(table))`` values at the points ``X`` of the monomials of ``table``."""
+    X1 = np.concatenate([np.ones((len(X), 1)), X], axis=1)
+    return X1[:, table].prod(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,11 @@ class VectorFieldAnsatz:
     dim: int
     degree: int = 2
     exponents: list = field(init=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", _monomials(self.dim, self.degree))
+        object.__setattr__(self, "table", _monomial_table(self.exponents, self.degree))
 
     @property
     def n_monomials(self) -> int:
@@ -109,8 +112,7 @@ class VectorFieldAnsatz:
 
         def comps(x):
             X = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, self.dim))
-            mono = np.stack([_mono_values(a, X) for a in self.exponents], axis=1)
-            out = mono @ coeff.T
+            out = _monomial_values(self.table, X) @ coeff.T
             return out.reshape(np.asarray(x, dtype=float).shape)
 
         return VectorField(comps, self.dim)
@@ -164,12 +166,13 @@ def build_residual(g: RiemannianField, dtau: TwoFormField | None,
         raise UnderdeterminedSystemError(
             f"need >= {3 * ansatz.n_coefficients} sample points, got {len(X)}"
         )
-    mono_vals = np.stack([_mono_values(a, X) for a in ansatz.exponents], axis=1)
-    mono_grad = np.stack(
-        [np.stack([_mono_partial(a, j, X) for j in range(n)], axis=1) for a in ansatz.exponents],
-        axis=1,
-    )  # (m, n_mono, n): d_j x^alpha
-    V = mono_vals[:, None, None, :]
+    # d_j x^alpha = alpha_j x^(alpha - e_j), nonzero where alpha_j > 0
+    E = np.array(ansatz.exponents)
+    a, d = np.nonzero(E)
+    mono_grad = np.zeros((len(X), ansatz.n_monomials, n))
+    mono_grad[:, a, d] = E[a, d] * _monomial_values(
+        _monomial_table(E[a] - np.eye(n, dtype=int)[d], ansatz.degree), X)
+    V = _monomial_values(ansatz.table, X)[:, None, None, :]
 
     def block(T, offset):
         # entry (j, l) of column (i, alpha), i.e. of L_K T for K = x^alpha d/dx_i:
@@ -205,6 +208,15 @@ class NullspaceResult:
     warning: str | None = None
 
 
+def _spectrum_cut(sv: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum relative to its largest value, and the mask of values below ``threshold``.
+
+    An all-zero spectrum has no scale, and all of it is below any cut.
+    """
+    rel = sv / sv[0] if sv[0] > 0 else sv
+    return rel, rel < threshold
+
+
 def nullspace_dimension(R: ResidualMatrix | np.ndarray, sv_threshold: float = 1e-6) -> NullspaceResult:
     """Count singular values below ``sv_threshold`` times the largest.
 
@@ -212,20 +224,21 @@ def nullspace_dimension(R: ResidualMatrix | np.ndarray, sv_threshold: float = 1e
     singular value (``inf`` when nothing is retained or every dropped value
     is exactly zero); a gap below 10 attaches an ambiguous-rank warning
     instead of raising.  An all-zero matrix has no scale, and its whole
-    spectrum is null.
+    spectrum is null.  A wide matrix also has a null direction for each
+    column past its row count, with singular value exactly zero.
     """
     M = R.matrix if isinstance(R, ResidualMatrix) else np.asarray(R, dtype=float)
-    _, sv, Vh = np.linalg.svd(M, full_matrices=False)
-    rel = sv / sv[0] if sv[0] > 0 else sv
-    null_mask = rel < sv_threshold
-    dim = int(null_mask.sum())
-    basis = Vh[len(sv) - dim:] if dim else np.empty((0, M.shape[1]))
+    cols = M.shape[1]
+    _, sv, Vh = np.linalg.svd(M, full_matrices=cols > M.shape[0])
+    rel, null_mask = _spectrum_cut(sv, sv_threshold)
+    dim = int(null_mask.sum()) + cols - len(sv)
+    basis = Vh[cols - dim:] if dim else np.empty((0, cols))
     if dim == 0:
         # nothing dropped: report the margin of the smallest value above the cut
         gap = float(rel[-1] / sv_threshold)
     else:
         kept = rel[~null_mask]
-        top = rel[null_mask].max()
+        top = rel[null_mask].max(initial=0.0)
         gap = float(kept.min() / top) if len(kept) and top > 0 else float("inf")
     warning = None
     if np.isfinite(gap) and gap < 10.0:

@@ -220,10 +220,52 @@ def test_riemannian_field_validation(n):
     field(n - 1, 0, 0.5e-12 * 3.0)(x)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_constant_riemannian_field_validated_at_construction(n):
+    # the checks and messages of a general field's evaluation, made once
+    for value, message in ((np.nan, "non-finite"), (np.inf, "non-finite"),
+                           (2e-12 * 3.0, "not symmetric")):
+        M = 3.0 * np.eye(n)
+        M[n - 1, 0] += value
+        with pytest.raises(ValueError, match=message):
+            RiemannianField.constant(M)
+    with pytest.raises(ValueError, match="field returned shape"):
+        RiemannianField.constant(np.ones((n, n + 1)))
+    g = RiemannianField.constant(3.0 * np.eye(n))
+    with pytest.raises(ValueError, match="points have dimension"):
+        g(np.zeros((5, n + 1)))
+    out = g(np.zeros((5, 7, n)))
+    assert out.shape == (5, 7, n, n)
+    assert np.array_equal(out, np.broadcast_to(3.0 * np.eye(n), out.shape))
+    assert not out.flags.writeable and not g.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0, 0, 0] = 1.0
+
+
+def test_constant_riemannian_field_owns_its_matrix():
+    # the field freezes a copy: the caller's array stays writable and apart
+    M = np.eye(2)
+    g = RiemannianField.constant(M)
+    M[0, 0] = 5.0
+    assert g(np.zeros(2))[0, 0] == 1.0
+
+
+def test_constant_matrix_is_not_a_constructor_parameter():
+    # only constant() sets the matrix, so it cannot disagree with components
+    import dataclasses
+
+    with pytest.raises(TypeError):
+        RiemannianField(lambda x: x, 2, np.eye(2))
+    g = RiemannianField.constant(np.eye(2))
+    h = dataclasses.replace(g, components=lambda x: 2.0 * g.components(x))
+    assert h.matrix is None
+    assert np.array_equal(h(np.zeros(2)), 2.0 * np.eye(2))
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.stats (Sobol samples), scipy.optimize (support LPs) and
     # scipy.spatial (3D grid weights) load on first use: importing them cost
-    # most of `import almostiso`
+    # most of `import almostiso`, and the CLI's start-up loads no scipy at all
     import os
     import subprocess
     import sys
@@ -233,7 +275,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(almostiso.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import almostiso; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
-            "if m in sys.modules))")
+            "if m in sys.modules)); import almostiso.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

@@ -14,6 +14,7 @@ from almostiso import (
 )
 from almostiso.duality import betterment_covector
 from almostiso.errors import ConvexityError
+from almostiso.gallery import _conformal_field
 
 
 class TestConstantCurvature2D:
@@ -165,6 +166,14 @@ class TestBettermentConsistency:
 
     def test_fubini_study(self, fubini_study):
         assert self.recovery_error(fubini_study) < 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_flat_conformal_field_is_constant_identity(n):
+    g = _conformal_field("flat", n)
+    assert np.array_equal(g.matrix, np.eye(n))
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, (9, n))
+    assert np.array_equal(g(x), np.ones(9)[:, None, None] * np.eye(n))
 
 
 def test_catalog_builds():

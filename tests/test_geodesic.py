@@ -195,6 +195,25 @@ def test_single_solve_f_call_budget():
     assert len(calls) <= 4 * n * (iters + 2 * (iters // 8)) + 4
 
 
+def test_constant_metric_components_not_evaluated_by_solver(kahler_3):
+    # example-3 has g = I: F applies the validated matrix and never calls g
+    g = RiemannianField.constant(np.eye(4))
+    wrapped = g.components
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return wrapped(x)
+
+    object.__setattr__(g, "components", counting)
+    F = randers_metric(RandersData(g, kahler_3.tau), chart=kahler_3.chart)
+    starts = kahler_3.chart.sample_points(6, seed=3, margin=0.2)
+    ends = starts[::-1].copy()
+    d = distance_batch(F, starts, ends, k=4, iters=16)
+    assert calls == []
+    assert np.array_equal(d, distance_batch(kahler_3.metric(), starts, ends, k=4, iters=16))
+
+
 class TestTriangular:
     def test_coincident_points(self):
         F = euclidean_metric(2, chart=BIG)

@@ -56,6 +56,32 @@ class TestRandersEval:
         Y = np.tile([1.0, 0.0], (5, 1))
         assert np.allclose(randers_eval(data, X, Y), 1.3)
 
+    @staticmethod
+    def _batch(n):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-0.4, 0.4, (270, 48, n))
+        y = rng.standard_normal((270, 48, n))
+        return x, y, OneFormField.constant(0.1 * rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_constant_identity_matches_general_field(self, n):
+        # the constant path is one matmul; with g = I it is exact
+        x, y, tau = self._batch(n)
+        eye = np.eye(n)
+        general = RiemannianField(lambda p: np.broadcast_to(eye, p.shape[:-1] + (n, n)).copy(), n)
+        fast = randers_eval(RandersData(RiemannianField.constant(eye), tau), x, y)
+        slow = randers_eval(RandersData(general, tau), x, y)
+        assert np.array_equal(fast, slow)
+
+    def test_constant_spd_matches_general_field(self):
+        x, y, tau = self._batch(4)
+        A = np.random.default_rng(6).standard_normal((4, 4))
+        G = A @ A.T + 4.0 * np.eye(4)
+        general = RiemannianField(lambda p: np.broadcast_to(G, p.shape[:-1] + (4, 4)).copy(), 4)
+        fast = randers_eval(RandersData(RiemannianField.constant(G), tau), x, y)
+        slow = randers_eval(RandersData(general, tau), x, y)
+        np.testing.assert_allclose(fast, slow, rtol=4 * np.finfo(float).eps, atol=0)
+
 
 class TestSymmetrize:
     def test_drift_cancels(self):

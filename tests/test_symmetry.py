@@ -22,11 +22,29 @@ from almostiso import (
 )
 from almostiso.chart import _partials
 from almostiso.errors import UnderdeterminedSystemError
-from almostiso.symmetry import _mono_partial, _mono_values
+from almostiso.symmetry import _monomial_values
 
 CHART2 = ChartDomain([[-0.5, 0.5], [-0.5, 0.5]], fd_step=1e-3)
 FLAT2 = RiemannianField.constant(np.eye(2))
 FLAT4 = RiemannianField.constant(np.eye(4))
+
+
+def mono_values(alpha, X):
+    """x^alpha as the product of one power per axis."""
+    v = np.ones(len(X))
+    for i, p in enumerate(alpha):
+        if p:
+            v = v * X[:, i] ** p
+    return v
+
+
+def mono_partial(alpha, j, X):
+    """d_j x^alpha, exactly zero where alpha_j = 0."""
+    if alpha[j] == 0:
+        return np.zeros(len(X))
+    lowered = list(alpha)
+    lowered[j] -= 1
+    return alpha[j] * mono_values(tuple(lowered), X)
 
 
 def sample(chart, ansatz, factor=5):
@@ -63,6 +81,20 @@ class TestAnsatz:
         assert ansatz.exponents[0] == (0, 0)
         assert ansatz.exponents[1] == (1, 0)
         assert ansatz.exponents[2] == (0, 1)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_monomial_values_match_per_monomial_products(self, n):
+        X = np.random.default_rng(3).uniform(-0.5, 0.5, (40, n))
+        for degree in (1, 2, 3):
+            ansatz = VectorFieldAnsatz(n, degree)
+            ref = np.stack([mono_values(a, X) for a in ansatz.exponents], axis=1)
+            got = _monomial_values(ansatz.table, X)
+            if degree <= 2:
+                # at most two non-unit factors: the same product, bit for bit
+                assert np.array_equal(got, ref)
+            else:
+                # x^3 is (x x) x here and pow(x, 3) there
+                np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestBuildResidual:
@@ -141,8 +173,8 @@ class TestBuildResidual:
             cols = []
             for i in range(n):
                 for alpha in ansatz.exponents:
-                    Ka = _mono_values(alpha, pts)
-                    dK = np.stack([_mono_partial(alpha, a, pts) for a in range(n)], axis=1)
+                    Ka = mono_values(alpha, pts)
+                    dK = np.stack([mono_partial(alpha, a, pts) for a in range(n)], axis=1)
                     L = (Ka[:, None, None] * dT[:, i]
                          + Tx[:, i, :][:, None, :] * dK[:, :, None]
                          + Tx[:, :, i][:, :, None] * dK[:, None, :])
@@ -212,6 +244,17 @@ class TestNullspaceDimension:
         assert res.warning is None
         # the u(2) action on 2-forms has an exactly zero singular value
         assert invariant_two_forms(u2_generators()).dimension == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape, rank", [((1, 3), 1), ((3, 6), 0)])
+    def test_wide_matrix_counts_unreturned_directions(self, shape, rank):
+        M = np.ones(shape) if rank else np.zeros(shape)
+        res = nullspace_dimension(M)
+        assert res.dimension == shape[1] - rank
+        assert res.basis.shape == (shape[1] - rank, shape[1])
+        np.testing.assert_allclose(M @ res.basis.T, 0.0, atol=1e-12)
+        np.testing.assert_allclose(res.basis @ res.basis.T, np.eye(len(res.basis)), atol=1e-12)
+        assert res.gap == math.inf
 
 
 class TestInvariantTwoForms:
