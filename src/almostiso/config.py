@@ -32,7 +32,7 @@ import numpy as np
 
 from .chart import ChartDomain, OneFormField, RiemannianField, _partials
 from .expressions import compile_expression
-from .gallery import _conformal_field, _fs_metric_components
+from .gallery import _METRICS
 from .metric import RandersData
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
@@ -47,18 +47,19 @@ class RunConfig:
     raw: dict
 
 
+def _shaped(values, shape: tuple, what: str) -> list:
+    if np.shape(values) != shape:
+        raise ValueError(f"{what} must have shape {shape} on this chart, got {np.shape(values)}")
+    return values
+
+
 def _g_field(spec: dict, dim: int) -> RiemannianField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return RiemannianField.constant(np.asarray(spec["matrix"], dtype=float))
-    if kind in ("sphere-conformal", "hyperbolic-conformal"):
-        return _conformal_field(kind.split("-")[0], dim)
-    if kind == "fubini-study":
-        if dim != 4:
-            raise ValueError("fubini-study metric needs a 4-dimensional chart")
-        return RiemannianField(_fs_metric_components, 4)
+        matrix = _shaped(spec["matrix"], (dim, dim), "g matrix")
+        return RiemannianField.constant(np.asarray(matrix, dtype=float))
     if kind == "expressions":
-        comps = spec["components"]
+        comps = _shaped(spec["components"], (dim, dim), "g components")
         fns = [[compile_expression(comps[i][j], dim) for j in range(dim)] for i in range(dim)]
 
         def g_eval(x):
@@ -66,15 +67,20 @@ def _g_field(spec: dict, dim: int) -> RiemannianField:
             return np.stack(rows, axis=-2)
 
         return RiemannianField(g_eval, dim)
-    raise ValueError(f"unknown metric component kind {kind!r}")
+    named = {row.spec["kind"]: row.g for row in _METRICS.values()}
+    if kind not in named:
+        raise ValueError(f"unknown metric component kind {kind!r}")
+    return named[kind](dim)
 
 
 def _tau_field(spec: dict, dim: int, chart: ChartDomain) -> OneFormField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return OneFormField.constant(np.asarray(spec["components"], dtype=float))
+        comps = _shaped(spec["components"], (dim,), "tau components")
+        return OneFormField.constant(np.asarray(comps, dtype=float))
     if kind == "expressions":
-        fns = [compile_expression(c, dim) for c in spec["components"]]
+        comps = _shaped(spec["components"], (dim,), "tau components")
+        fns = [compile_expression(c, dim) for c in comps]
         return OneFormField(lambda x: np.stack([f(x) for f in fns], axis=-1), dim)
     if kind == "potential":
         # a compiled expression is defined on all of R^n, so the centered

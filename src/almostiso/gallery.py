@@ -1,27 +1,38 @@
 """Named, certified Randers configurations for the verification suites.
 
 Each constructor builds a chart, a Riemannian component field g, and a
-1-form tau with a prescribed differential (d tau = c * volume form in 2D,
-c * Kahler form in 4D, or d tau = df for the closed family), checks
+1-form tau with a prescribed differential (d tau = c * omega for the
+Kahler form omega of g, or d tau = df = 0 for the closed family), checks
 admissibility and the defining certificates, and returns an immutable
 :class:`GalleryEntry` carrying the expected almost-Killing dimension and
 the JSON configuration it is equivalent to.
 
-Curved 2D primitives are built radially: for a conformal metric
-g = factor(r^2) I, tau = A(r) (x dy - y dx) with
-A(r) = c / r^2 * integral_0^r s * factor(s^2) ds satisfies
-d tau = c * sqrt(det g) dx^dy.  The integral is used in closed form:
-A = c/2 (flat), 2c/(1 + r^2) (sphere) and 2c/(1 - r^2) (hyperbolic).
+Every magnetic entry has one primitive.  With J the standard complex
+structure (J e_1 = e_2) and omega = J^T g, i.e. omega(u, v) = g(Ju, v),
+which is the area form in 2D, tau = c A(r^2) Jx satisfies d tau = c * omega
+for the radial factor A of each chart metric:
 
-Every tau is evaluated by a numpy closure written next to its expression
+    g                    A(r^2)
+    flat, 2D and 4D      1/2
+    round sphere, 2D     2/(1 + r^2)
+    hyperbolic, 2D       2/(1 - r^2)
+    Fubini-Study, 4D     (1/2)/(1 + r^2)
+
+These metrics, with their curvature, isometry dimension and A, form one
+table, ``_METRICS``, which :mod:`almostiso.config` also reads for named g
+kinds.  The expected almost-Killing dimension is the isometry dimension of
+g when c = 0, and otherwise 3 in 2D and 8 in 4D.
+
+Every tau is evaluated by a numpy closure and also written as expression
 text; the text goes into the entry's configuration, where
 :func:`almostiso.config.config_from_dict` compiles it back.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,13 +110,12 @@ def _certify_dtau(chart: ChartDomain, tau: OneFormField, target: TwoFormField,
     return defect
 
 
-def _certified(name: str, chart: ChartDomain, g: RiemannianField, tau: OneFormField,
-               dtau: TwoFormField, *, c: float, expected_dimension: int,
-               curvature_target: float | None, curvature_tol: float,
-               dtau_tol: float | None, g_spec: dict, tau_text: list[str] | None,
-               curvature_kind: str = "constant-sectional", J: np.ndarray | None = None,
-               max_shrink: int = 0, certs: dict | None = None) -> GalleryEntry:
-    """Certify Randers data and return its entry.
+def _certified(name: str, row: _Metric, chart: ChartDomain, g: RiemannianField,
+               tau: OneFormField, dtau: TwoFormField, *, c: float, curvature_tol: float,
+               dtau_tol: float | None, tau_text: list[str] | None,
+               J: np.ndarray | None = None, max_shrink: int = 0,
+               certs: dict | None = None) -> GalleryEntry:
+    """Certify Randers data on the chart metric ``row`` and return its entry.
 
     The box shrinks (up to ``max_shrink`` times) until ``|tau|_g < 1`` on
     it; d(tau) is checked against ``dtau`` within ``dtau_tol`` (skipped when
@@ -126,89 +136,145 @@ def _certified(name: str, chart: ChartDomain, g: RiemannianField, tau: OneFormFi
     if dtau_tol is not None:
         certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau, dtau_tol), dtau_tol)
 
-    holomorphic = curvature_kind == "constant-holomorphic"
+    holomorphic = row.curvature is None
     sweep = curvature_sweep(chart, g, count=16, seed=17,
                             complex_structure=J if holomorphic else None)
     if sweep.std > curvature_tol:
         raise ConstructionError(
             f"curvature constancy certificate failed: std {sweep.std:g} > {curvature_tol:g}"
         )
-    if curvature_target is not None and abs(sweep.mean - curvature_target) > curvature_tol:
+    if not holomorphic and abs(sweep.mean - row.curvature) > curvature_tol:
         raise ConstructionError(
-            f"curvature value certificate failed: mean {sweep.mean:g} != {curvature_target:g}"
+            f"curvature value certificate failed: mean {sweep.mean:g} != {row.curvature:g}"
         )
     prefix = "holomorphic_curvature" if holomorphic else "curvature"
-    certs[f"{prefix}_mean"] = (sweep.mean,
-                               float("nan") if curvature_target is None else curvature_tol)
+    certs[f"{prefix}_mean"] = (sweep.mean, float("nan") if holomorphic else curvature_tol)
     certs[f"{prefix}_std"] = (sweep.std, curvature_tol)
 
     raw = None if tau_text is None else {
         "chart": {"box": chart.box.tolist(), "fd_step": chart.fd_step},
-        "metric": {"kind": "randers", "g": g_spec,
+        "metric": {"kind": "randers", "g": copy.deepcopy(row.spec),
                    "tau": {"kind": "expressions", "components": tau_text}},
     }
+    # the paper's count: a drift with d(tau) = c * omega, c != 0, keeps a
+    # 3-dimensional group in 2D and an 8-dimensional one in 4D
+    expected_dimension = row.isometries if c == 0.0 else {2: 3, 4: 8}[row.dim]
     return GalleryEntry(
-        name=name, chart=chart, g=g, tau=tau, c=c,
-        expected_dimension=expected_dimension, curvature_kind=curvature_kind,
-        curvature_target=curvature_target, dtau=dtau, complex_structure=J,
+        name=name, chart=chart, g=g, tau=tau, c=c, expected_dimension=expected_dimension,
+        curvature_kind="constant-holomorphic" if holomorphic else "constant-sectional",
+        curvature_target=row.curvature, dtau=dtau, complex_structure=J,
         certificates=certs, raw=raw,
     )
-
-
-def _rotation_text(term: str, n: int) -> list[str]:
-    """Expression text of sum_k a_k (x_{2k-1} dx_{2k} - x_{2k} dx_{2k-1}).
-
-    ``term`` writes one component, with ``{s}`` for its sign and ``{x}``
-    for its coordinate.
-    """
-    return [term.format(s=s, x=f"x{2 * k + j}")
-            for k in range(n // 2) for s, j in (("-", 2), ("", 1))]
 
 
 def _default_box(n: int, half: float = 0.5) -> np.ndarray:
     return np.tile([-half, half], (n, 1))
 
 
-def _g_spec(kind: str, n: int) -> dict:
-    """The configuration of a conformal chart metric (the identity when flat)."""
-    if kind == "flat":
-        return {"kind": "constant", "matrix": np.eye(n).tolist()}
-    return {"kind": f"{kind}-conformal"}
-
-
 # ---------------------------------------------------------------------------
-# Conformal 2D charts and their radial primitives
+# Chart metrics
 # ---------------------------------------------------------------------------
 
-# kind: (conformal factor of r^2, the closed-form A(r^2) / c and the same
-# amplitude as expression text in {r2}, sectional curvature)
-_RADIAL = {
-    "flat": (lambda r2: np.ones_like(r2),
-             lambda r2: np.full_like(r2, 0.5), "0.5", 0.0),
-    "sphere": (lambda r2: 4.0 / (1.0 + r2) ** 2,
-               lambda r2: 2.0 / (1.0 + r2), "(2/(1 + {r2}))", 1.0),
-    "hyperbolic": (lambda r2: 4.0 / (1.0 - r2) ** 2,
-                   lambda r2: 2.0 / (1.0 - r2), "(2/(1 - {r2}))", -1.0),
+_FS_J = standard_complex_structure(4)
+
+
+def _r2(x: np.ndarray) -> np.ndarray:
+    return (x ** 2).sum(axis=-1)
+
+
+def _fs_metric_components(x: np.ndarray) -> np.ndarray:
+    """Real components of the Fubini-Study metric on the affine C^2 chart.
+
+    The complex Hessian of the potential (1/2) log(1 + |z|^2), expanded to
+    the real coordinates (x1, x2, x3, x4) = (Re z1, Im z1, Re z2, Im z2):
+    ``((1 + r^2) I - x x^T - Jx (Jx)^T) / (1 + r^2)^2`` with ``J`` the
+    standard complex structure; the identity at the chart origin.
+    """
+    s = 1.0 + _r2(x)[..., None, None]
+    jx = x @ _FS_J.T
+    out = s * np.eye(4) - x[..., :, None] * x[..., None, :] - jx[..., :, None] * jx[..., None, :]
+    return out / (s * s)
+
+
+def _flat(n: int) -> RiemannianField:
+    return RiemannianField.constant(np.eye(n))
+
+
+def _conformal(factor: Callable[[np.ndarray], np.ndarray]) -> Callable[[int], RiemannianField]:
+    """The metric factor(x) I, on a chart of any dimension."""
+    return lambda n: RiemannianField.conformal(factor, n)
+
+
+def _fubini_study(n: int) -> RiemannianField:
+    if n != 4:
+        raise ValueError("fubini-study metric needs a 4-dimensional chart")
+    return RiemannianField(_fs_metric_components, 4)
+
+
+class _Metric(NamedTuple):
+    """A chart metric g and the radial factor A of its Kahler primitive A(r^2) Jx."""
+
+    dim: int
+    g: Callable[[int], RiemannianField]             # g on an n-dimensional chart
+    spec: dict                                      # g as configuration
+    curvature: float | None                         # sectional; None: holomorphic, recorded
+    isometries: int                                 # dimension of g's isometry group
+    amplitude: Callable[[np.ndarray], np.ndarray]   # A(r^2) at points x; a number if constant
+    amplitude_text: str                             # A as expression text in {r2}
+
+
+_METRICS = {
+    "flat-2d": _Metric(2, _flat, {"kind": "constant", "matrix": np.eye(2).tolist()}, 0.0, 3,
+                       lambda x: 0.5, "0.5"),
+    "sphere-2d": _Metric(2, _conformal(lambda x: 4.0 / (1.0 + _r2(x)) ** 2),
+                         {"kind": "sphere-conformal"}, 1.0, 3,
+                         lambda x: 2.0 / (1.0 + _r2(x)), "(2/(1 + {r2}))"),
+    "hyperbolic-2d": _Metric(2, _conformal(lambda x: 4.0 / (1.0 - _r2(x)) ** 2),
+                             {"kind": "hyperbolic-conformal"}, -1.0, 3,
+                             lambda x: 2.0 / (1.0 - _r2(x)), "(2/(1 - {r2}))"),
+    "flat-4d": _Metric(4, _flat, {"kind": "constant", "matrix": np.eye(4).tolist()}, 0.0, 10,
+                       lambda x: 0.5, "0.5"),
+    "fubini-study": _Metric(4, _fubini_study, {"kind": "fubini-study"}, None, 8,
+                            lambda x: 0.5 / (1.0 + _r2(x)), "(0.5/(1 + {r2}))"),
 }
 
 
-def _conformal_field(kind: str, dim: int = 2) -> RiemannianField:
-    if kind == "flat":
-        return RiemannianField.constant(np.eye(dim))
-    factor = _RADIAL[kind][0]
-    return RiemannianField.conformal(lambda x: factor((x ** 2).sum(axis=-1)), dim)
+# ---------------------------------------------------------------------------
+# Magnetic entries: d(tau) = c * Kahler form
+# ---------------------------------------------------------------------------
+
+def _kahler_form(J: np.ndarray, g: RiemannianField) -> TwoFormField:
+    """omega = J^T g, i.e. omega(u, v) = g(Ju, v); the area form in 2D."""
+    return TwoFormField(lambda x: np.einsum("ba,...bc->...ac", J, g(x)), g.dim)
 
 
-def _radial_primitive(kind: str, c: float) -> tuple[OneFormField, list[str]]:
-    """tau = A(r) (x dy - y dx) with d(tau) = c * factor(r^2) dx ^ dy."""
-    _, amplitude, text, _ = _RADIAL[kind]
+def _kahler_entry(name: str, g_kind: str, c: float, chart: ChartDomain, *,
+                  curvature_tol: float, max_shrink: int = 0,
+                  certs: dict | None = None) -> GalleryEntry:
+    """The entry with tau = c A(r^2) Jx, so d(tau) = c * J^T g, on ``g_kind``."""
+    row = _METRICS[g_kind]
+    n = row.dim
+    J = standard_complex_structure(n)
+    g = row.g(n)
+    omega = _kahler_form(J, g)
 
-    def comps(x):
-        a = c * amplitude((x ** 2).sum(axis=-1))
-        return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
+    def tau(x):
+        # J x written out, (Jx)_{2k-1} = -x_{2k} and (Jx)_{2k} = x_{2k-1}: the
+        # matmul x @ J.T takes about five times as long on 4D solver batches
+        a = np.asarray(c * row.amplitude(x))[..., None]
+        out = np.empty_like(x)
+        out[..., 0::2] = -a * x[..., 1::2]
+        out[..., 1::2] = a * x[..., 0::2]
+        return out
 
-    amp = f"({c}*{text.format(r2='(x1^2 + x2^2)')})"
-    return OneFormField(comps, 2), _rotation_text("{s}" + amp + "*{x}", 2)
+    r2 = "(" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")"
+    amp = f"({c}*{row.amplitude_text.format(r2=r2)})"
+    tau_text = [f"{s}{amp}*x{i + j}" for i in range(1, n, 2) for s, j in (("-", 1), ("", 0))]
+    return _certified(
+        name, row, chart, g, OneFormField(tau, n), TwoFormField(lambda x: c * omega(x), n),
+        c=c, curvature_tol=curvature_tol, dtau_tol=1e-6 if c != 0.0 else None,
+        tau_text=tau_text, J=J if n > 2 else None, max_shrink=max_shrink, certs=certs,
+    )
 
 
 def make_constant_curvature_2d(kind: str, c: float, box=None,
@@ -220,24 +286,13 @@ def make_constant_curvature_2d(kind: str, c: float, box=None,
     With c != 0 the almost-Killing space is 3-dimensional: volume-preserving
     isometries survive, translations-only metrics do not occur in 2D.
     """
-    if kind not in _RADIAL:
-        raise ValueError(f"kind must be one of {sorted(_RADIAL)}")
-    factor = _RADIAL[kind][0]
-    tau, tau_text = _radial_primitive(kind, c)
-    vol_form = TwoFormField(
-        lambda x: factor((x ** 2).sum(axis=-1))[..., None, None]
-        * np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        2,
-    )
-    dtau = (TwoFormField(lambda x: c * vol_form(x), 2) if c != 0.0
-            else TwoFormField.constant(np.zeros((2, 2))))
-    return _certified(
-        f"constant-curvature-2d[{kind}, c={c:g}]",
+    kinds = sorted(k[:-len("-2d")] for k in _METRICS if k.endswith("-2d"))
+    if kind not in kinds:
+        raise ValueError(f"kind must be one of {kinds}")
+    return _kahler_entry(
+        f"constant-curvature-2d[{kind}, c={c:g}]", f"{kind}-2d", c,
         ChartDomain(_default_box(2) if box is None else box, fd_step),
-        _conformal_field(kind), tau, dtau, c=c, expected_dimension=3,
-        curvature_target=_RADIAL[kind][3], curvature_tol=1e-3,
-        dtau_tol=1e-6 if c != 0.0 else None, g_spec=_g_spec(kind, 2),
-        tau_text=tau_text, max_shrink=max_shrink,
+        curvature_tol=1e-3, max_shrink=max_shrink,
     )
 
 
@@ -247,71 +302,10 @@ def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEnt
     tau = (c/2)(x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3).  Expected almost-Killing
     dimension: 8 for c != 0 (translations + unitary rotations), 10 for c = 0.
     """
-    omega = np.zeros((4, 4))
-    omega[0, 1] = omega[2, 3] = 1.0
-    omega[1, 0] = omega[3, 2] = -1.0
-
-    def tau_comps(x):
-        out = np.empty_like(x)
-        out[..., 0] = -0.5 * c * x[..., 1]
-        out[..., 1] = 0.5 * c * x[..., 0]
-        out[..., 2] = -0.5 * c * x[..., 3]
-        out[..., 3] = 0.5 * c * x[..., 2]
-        return out
-
-    return _certified(
-        f"flat-kahler-4d[c={c:g}]",
-        ChartDomain(_default_box(4) if box is None else box, fd_step),
-        RiemannianField.constant(np.eye(4)), OneFormField(tau_comps, 4),
-        TwoFormField.constant(c * omega), c=c,
-        expected_dimension=8 if c != 0.0 else 10,
-        curvature_target=0.0, curvature_tol=1e-4,
-        dtau_tol=1e-6 if c != 0.0 else None, g_spec=_g_spec("flat", 4),
-        tau_text=_rotation_text(f"{{s}}0.5*{c}*{{x}}", 4),
-        J=standard_complex_structure(4),
+    return _kahler_entry(
+        f"flat-kahler-4d[c={c:g}]", "flat-4d", c,
+        ChartDomain(_default_box(4) if box is None else box, fd_step), curvature_tol=1e-4,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fubini-Study chart
-# ---------------------------------------------------------------------------
-
-_FS_J = standard_complex_structure(4)
-
-
-def _fs_metric_components(x: np.ndarray) -> np.ndarray:
-    """Real components of the Fubini-Study metric on the affine C^2 chart.
-
-    The complex Hessian of the potential (1/2) log(1 + |z|^2), expanded to
-    the real coordinates (x1, x2, x3, x4) = (Re z1, Im z1, Re z2, Im z2):
-    ``((1 + r^2) I - x x^T - Jx (Jx)^T) / (1 + r^2)^2`` with ``J`` the
-    standard complex structure; the identity at the chart origin.
-    """
-    s = 1.0 + (x ** 2).sum(axis=-1)[..., None, None]
-    jx = x @ _FS_J.T
-    out = s * np.eye(4) - x[..., :, None] * x[..., None, :] - jx[..., :, None] * jx[..., None, :]
-    return out / (s * s)
-
-
-def _fs_tau(c: float) -> tuple[OneFormField, list[str]]:
-    """c times the canonical primitive of the Kahler form.
-
-    eta = (1/2) sum_j (phi_{x_j} dy_j - phi_{y_j} dx_j) for the potential
-    phi, which satisfies d(eta) = omega; gradients are analytic here.
-    """
-
-    def comps(x):
-        r2 = (x ** 2).sum(axis=-1)
-        grad = x / (1.0 + r2)[..., None]       # d phi = x / (1 + |x|^2)
-        out = np.empty_like(x)
-        out[..., 0] = -0.5 * grad[..., 1]
-        out[..., 1] = 0.5 * grad[..., 0]
-        out[..., 2] = -0.5 * grad[..., 3]
-        out[..., 3] = 0.5 * grad[..., 2]
-        return c * out
-
-    r2 = "(x1^2 + x2^2 + x3^2 + x4^2)"
-    return OneFormField(comps, 4), _rotation_text(f"{c}*({{s}}0.5*({{x}}/(1 + {r2})))", 4)
 
 
 def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEntry:
@@ -328,11 +322,7 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
     noise floor stays below the 1e-7 rank threshold-stability band.
     """
     chart = ChartDomain(_default_box(4, 0.35) if box is None else box, fd_step)
-    J = standard_complex_structure(4)
-    omega = TwoFormField(
-        lambda x: np.einsum("ba,...bc->...ac", J, _fs_metric_components(x)), 4
-    )
-    tau, tau_text = _fs_tau(c)
+    omega = _kahler_form(_FS_J, _fubini_study(4))
 
     # Kahler form closedness: d(omega) has 4 independent 3-form components;
     # check all dx_a ^ dx_i ^ dx_j coefficients via partials of omega.
@@ -343,26 +333,13 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
     if domega_defect > 1e-6:
         raise ConstructionError(f"d(omega) != 0: defect {domega_defect:g}")
 
-    return _certified(
-        f"fubini-study-4d[c={c:g}]", chart, RiemannianField(_fs_metric_components, 4),
-        tau, TwoFormField(lambda x: c * omega(x), 4), c=c, expected_dimension=8,
-        curvature_kind="constant-holomorphic", curvature_target=None, curvature_tol=1e-3,
-        dtau_tol=1e-6 if c != 0.0 else None, g_spec={"kind": "fubini-study"},
-        tau_text=tau_text, J=J, certs={"domega_defect": (domega_defect, 1e-6)},
-    )
+    return _kahler_entry(f"fubini-study-4d[c={c:g}]", "fubini-study", c, chart,
+                         curvature_tol=1e-3, certs={"domega_defect": (domega_defect, 1e-6)})
 
 
 # ---------------------------------------------------------------------------
 # Closed one-form family
 # ---------------------------------------------------------------------------
-
-_CLOSED_KINDS = {
-    "flat-2d": (2, "flat"),
-    "sphere-2d": (2, "sphere"),
-    "hyperbolic-2d": (2, "hyperbolic"),
-    "flat-4d": (4, "flat"),
-}
-
 
 def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
                         box=None, grad_f: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -374,9 +351,11 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
     analytic gradient; otherwise df is taken by centered differences.  The
     entry carries no ``raw`` configuration, since ``f`` is Python code.
     """
-    if g_kind not in _CLOSED_KINDS:
-        raise ValueError(f"g_kind must be one of {sorted(_CLOSED_KINDS)}")
-    n = _CLOSED_KINDS[g_kind][0]
+    # the family's bases are those of constant sectional curvature
+    kinds = sorted(k for k, row in _METRICS.items() if row.curvature is not None)
+    if g_kind not in kinds:
+        raise ValueError(f"g_kind must be one of {kinds}")
+    n = _METRICS[g_kind].dim
     chart = ChartDomain(_default_box(n) if box is None else box, fd_step)
     if grad_f is not None:
         tau = OneFormField(lambda x: np.asarray(grad_f(x), dtype=float), n)
@@ -387,21 +366,20 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
 
 def _closed_entry(g_kind: str, chart: ChartDomain, tau: OneFormField,
                   tau_text: list[str] | None) -> GalleryEntry:
-    n, kind = _CLOSED_KINDS[g_kind]
-    tol = 1e-4 if kind == "flat" else 1e-3
+    row = _METRICS[g_kind]
+    n = row.dim
     return _certified(
-        f"randers-closed[{g_kind}]", chart,
-        _conformal_field(kind, n),
-        tau, TwoFormField.constant(np.zeros((n, n))), c=0.0,
-        expected_dimension=n * (n + 1) // 2, curvature_target=_RADIAL[kind][3],
-        curvature_tol=tol, dtau_tol=1e-5, g_spec=_g_spec(kind, n), tau_text=tau_text,
+        f"randers-closed[{g_kind}]", row, chart, row.g(n), tau,
+        TwoFormField.constant(np.zeros((n, n))), c=0.0,
+        curvature_tol=1e-4 if row.curvature == 0.0 else 1e-3, dtau_tol=1e-5,
+        tau_text=tau_text,
     )
 
 
 def _analytic_df(g_kind: str, grad: Callable[[np.ndarray], np.ndarray],
                  text: list[str]) -> GalleryEntry:
     """A closed entry on the default box whose tau is ``grad``, written as ``text``."""
-    n = _CLOSED_KINDS[g_kind][0]
+    n = _METRICS[g_kind].dim
     return _closed_entry(g_kind, ChartDomain(_default_box(n)), OneFormField(grad, n), text)
 
 

@@ -47,6 +47,44 @@ class TestConfig:
         tau = cfg.randers.tau(np.array([0.0, 0.0]))
         np.testing.assert_allclose(tau, [0.3, 0.0], atol=1e-10)
 
+    @staticmethod
+    def run_curvature(tmp_path, key, spec):
+        raw = json.loads(json.dumps(CONFIG))
+        raw["metric"][key] = spec
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(raw))
+        return main(["curvature", "--config", str(path), "--planes", "2"])
+
+    @pytest.mark.parametrize("key, spec", [
+        ("g", {"kind": "expressions", "components": [["1"]]}),
+        ("g", {"kind": "expressions", "components": [["1", "0", "0"], ["0", "1", "0"],
+                                                     ["0", "0", "1"]]}),
+        ("tau", {"kind": "expressions", "components": ["0.1"]}),
+        ("tau", {"kind": "expressions", "components": ["0.1", "0", "0"]}),
+    ], ids=["g-1x1", "g-3x3", "tau-1", "tau-3"])
+    def test_components_of_wrong_shape_exit_2(self, key, spec, tmp_path, capsys):
+        assert self.run_curvature(tmp_path, key, spec) == 2
+        assert "must have shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g, message", [
+        ({"kind": "fubini-study"}, "fubini-study metric needs a 4-dimensional chart"),
+        ({"kind": "no-such-kind"}, "unknown metric component kind 'no-such-kind'"),
+    ], ids=["fubini-study-2d", "unknown"])
+    def test_named_g_kind_errors_exit_2(self, g, message, tmp_path, capsys):
+        assert self.run_curvature(tmp_path, "g", g) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, factor", [
+        ("sphere-conformal", lambda r2: 4.0 / (1.0 + r2) ** 2),
+        ("hyperbolic-conformal", lambda r2: 4.0 / (1.0 - r2) ** 2),
+    ], ids=["sphere", "hyperbolic"])
+    def test_conformal_kinds_load_on_3d_chart(self, kind, factor):
+        cfg = config_from_dict({"chart": {"box": [[-0.5, 0.5]] * 3},
+                                "metric": {"g": {"kind": kind}}})
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, (20, 3))
+        expected = factor((x ** 2).sum(axis=-1))[:, None, None] * np.eye(3)
+        assert np.array_equal(cfg.randers.g(x), expected)
+
 
 class TestVerifyCommand:
     def test_unknown_example_exit_2(self, capsys):

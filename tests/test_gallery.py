@@ -11,10 +11,12 @@ from almostiso import (
     gallery_catalog,
     make_constant_curvature_2d,
     make_flat_kahler_4d,
+    make_fubini_study_4d,
 )
 from almostiso.duality import betterment_covector
 from almostiso.errors import ConvexityError
-from almostiso.gallery import _conformal_field
+from almostiso.gallery import _METRICS, _fs_metric_components
+from almostiso.symmetry import standard_complex_structure
 
 
 class TestConstantCurvature2D:
@@ -170,10 +172,104 @@ class TestBettermentConsistency:
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_flat_conformal_field_is_constant_identity(n):
-    g = _conformal_field("flat", n)
+    g = _METRICS[f"flat-{n}d"].g(n)
     assert np.array_equal(g.matrix, np.eye(n))
     x = np.random.default_rng(0).uniform(-0.5, 0.5, (9, n))
     assert np.array_equal(g(x), np.ones(9)[:, None, None] * np.eye(n))
+
+
+# ---------------------------------------------------------------------------
+# The per-family tau and d(tau) closures that one Kahler primitive
+# tau = c A(r^2) Jx, d(tau) = c J^T g replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def _radial_reference(factor, amplitude):
+    """2D: tau = c A(r) (x dy - y dx), d(tau) = c * factor(r^2) dx^dy."""
+
+    def closures(c):
+        def tau(x):
+            a = c * amplitude((x ** 2).sum(axis=-1))
+            return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
+
+        def dtau(x):
+            vol = factor((x ** 2).sum(axis=-1))[..., None, None] * np.array([[0.0, 1.0],
+                                                                           [-1.0, 0.0]])
+            return c * vol
+
+        return tau, dtau
+
+    return closures
+
+
+def _flat_kahler_reference(c):
+    omega = np.zeros((4, 4))
+    omega[0, 1] = omega[2, 3] = 1.0
+    omega[1, 0] = omega[3, 2] = -1.0
+
+    def tau(x):
+        out = np.empty_like(x)
+        out[..., 0] = -0.5 * c * x[..., 1]
+        out[..., 1] = 0.5 * c * x[..., 0]
+        out[..., 2] = -0.5 * c * x[..., 3]
+        out[..., 3] = 0.5 * c * x[..., 2]
+        return out
+
+    return tau, lambda x: np.broadcast_to(c * omega, x.shape[:-1] + (4, 4))
+
+
+def _fubini_study_reference(c):
+    def tau(x):
+        r2 = (x ** 2).sum(axis=-1)
+        grad = x / (1.0 + r2)[..., None]
+        out = np.empty_like(x)
+        out[..., 0] = -0.5 * grad[..., 1]
+        out[..., 1] = 0.5 * grad[..., 0]
+        out[..., 2] = -0.5 * grad[..., 3]
+        out[..., 3] = 0.5 * grad[..., 2]
+        return c * out
+
+    J = standard_complex_structure(4)
+    return tau, lambda x: c * np.einsum("ba,...bc->...ac", J, _fs_metric_components(x))
+
+
+_REFERENCES = {
+    "example-2.5": _radial_reference(lambda r2: np.ones_like(r2),
+                                     lambda r2: np.full_like(r2, 0.5)),
+    "example-2.5-sphere": _radial_reference(lambda r2: 4.0 / (1.0 + r2) ** 2,
+                                            lambda r2: 2.0 / (1.0 + r2)),
+    "example-2.5-hyperbolic": _radial_reference(lambda r2: 4.0 / (1.0 - r2) ** 2,
+                                                lambda r2: 2.0 / (1.0 - r2)),
+    "example-3": _flat_kahler_reference,
+    "example-3-c0": _flat_kahler_reference,
+    "fubini-study": _fubini_study_reference,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+def test_kahler_primitive_matches_family_closures(name):
+    """Bit for bit, except Fubini-Study tau, whose old closure rounded in another order."""
+    entry = build_gallery_entry(name)
+    tau, dtau = _REFERENCES[name](entry.c)
+    pts = np.vstack([entry.chart.mesh_points(5), entry.chart.sample_points(64, seed=13)])
+    if name == "fubini-study":
+        assert np.abs(entry.tau(pts) - tau(pts)).max() <= 1e-16
+    else:
+        assert np.array_equal(entry.tau(pts), tau(pts))
+    assert np.array_equal(entry.dtau(pts), dtau(pts))
+
+
+@pytest.mark.parametrize("g_kind, make, c0_dim, c_dim", [
+    ("flat-2d", lambda c: make_constant_curvature_2d("flat", c), 3, 3),
+    ("sphere-2d", lambda c: make_constant_curvature_2d("sphere", c), 3, 3),
+    ("hyperbolic-2d", lambda c: make_constant_curvature_2d("hyperbolic", c), 3, 3),
+    ("flat-4d", make_flat_kahler_4d, 10, 8),
+    ("fubini-study", make_fubini_study_4d, 8, 8),
+])
+def test_expected_dimension_rule(g_kind, make, c0_dim, c_dim):
+    """The isometry dimension of g at c = 0; 3 in 2D and 8 in 4D otherwise."""
+    assert _METRICS[g_kind].isometries == c0_dim
+    assert make(0.0).expected_dimension == c0_dim
+    assert make(0.1).expected_dimension == c_dim
 
 
 def test_catalog_builds():
@@ -227,8 +323,6 @@ def test_fubini_study_c0_full_killing_dimension():
 
 def test_fubini_study_real_form_matches_complex_hessian():
     """The real closed form equals the complex Hessian of (1/2) log(1 + |z|^2)."""
-    from almostiso.gallery import _fs_metric_components
-
     def complex_hessian_form(x):
         C = np.zeros((2, 4), dtype=complex)
         C[0, 0], C[0, 1], C[1, 2], C[1, 3] = 1.0, 1.0j, 1.0, 1.0j
