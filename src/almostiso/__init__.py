@@ -5,7 +5,7 @@ Capabilities, one module each:
 - :mod:`almostiso.chart` - charts, tensor-field evaluators, finite-difference
   exterior/Lie calculus, Runge-Kutta flows;
 - :mod:`almostiso.metric` - Finsler norm evaluation (Randers family,
-  symmetrization, one-form shifts);
+  one-form shifts);
 - :mod:`almostiso.duality` - dual convex bodies, barycentric recentering
   ("betterment"), Riemannian detection;
 - :mod:`almostiso.geodesic` - nonsymmetric distances, the triangular
@@ -53,16 +53,12 @@ from .gallery import (
     make_randers_closed,
 )
 from .geodesic import (
-    PathPolyline,
-    TripleSample,
     distance,
     distance_batch,
-    path_length,
     pullback_delta,
     seeded_triples,
     solver_tolerance_certificate,
     t_invariance_check,
-    triangular,
     triangular_batch,
 )
 from .metric import (
@@ -70,11 +66,8 @@ from .metric import (
     RandersData,
     add_one_form,
     convexity_margin,
-    euclidean_metric,
     randers_eval,
     randers_metric,
-    symmetrize,
-    symmetrize_eval,
 )
 from .symmetry import (
     AlmostKillingReport,

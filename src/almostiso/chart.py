@@ -293,15 +293,14 @@ def exterior_derivative(chart: ChartDomain, tau: OneFormField, x, step: float | 
     return dt - np.swapaxes(dt, -1, -2)
 
 
-def exterior_derivative_field(chart: ChartDomain, tau: OneFormField, step: float | None = None) -> TwoFormField:
+def exterior_derivative_field(chart: ChartDomain, tau: OneFormField) -> TwoFormField:
     """d(tau) as a closure over the chart, reusable by other operators."""
-    return TwoFormField(lambda x: exterior_derivative(chart, tau, x, step), chart.dim)
+    return TwoFormField(lambda x: exterior_derivative(chart, tau, x), chart.dim)
 
 
-def gradient_one_form(chart: ChartDomain, f: Callable[[np.ndarray], np.ndarray],
-                      step: float | None = None) -> OneFormField:
+def gradient_one_form(chart: ChartDomain, f: Callable[[np.ndarray], np.ndarray]) -> OneFormField:
     """df for a scalar potential, by centered differences."""
-    h = chart.fd_step if step is None else step
+    h = chart.fd_step
 
     def comps(x):
         chart.require_interior(x, margin=h)

@@ -72,9 +72,8 @@ def _emit(report: VerificationReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int,
-                         n_points: int = 3) -> tuple[float, dict]:
-    """Max relative deviation of the recentred norm from sqrt(g) on samples.
+def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int) -> tuple[float, dict]:
+    """Max relative deviation of the recentred norm from sqrt(g) at three points.
 
     Computed in a g-orthonormal frame per point; 4D sample points are kept
     in the middle of the box where the fixed-size direction grid resolves
@@ -83,7 +82,7 @@ def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int,
     chart, data = entry_or_config.chart, entry_or_config.randers
     n = chart.dim
     grid = direction_grid(n, grid_m)
-    pts = chart.sample_points(n_points, seed=seed, margin=0.1 * chart.edges.min())
+    pts = chart.sample_points(3, seed=seed, margin=0.1 * chart.edges.min())
     if n > 2:
         center = 0.5 * (chart.lower + chart.upper)
         radius = 0.45 * chart.edges.min() / 2.0

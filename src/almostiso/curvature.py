@@ -40,13 +40,13 @@ class PlaneAtPoint:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
-def christoffels(chart: ChartDomain, g: RiemannianField, x, step: float | None = None) -> np.ndarray:
+def christoffels(chart: ChartDomain, g: RiemannianField, x) -> np.ndarray:
     """Levi-Civita symbols ``Gamma^k_ij`` at ``x`` (leading index k).
 
     ``Gamma^k_ij = g^{ka} (d_i g_aj + d_j g_ai - d_a g_ij) / 2`` with
     centered differences; symmetric in (i, j) by construction.
     """
-    h = chart.fd_step if step is None else step
+    h = chart.fd_step
     chart.require_interior(x, margin=h)
     x = np.asarray(x, dtype=float)
     n = chart.dim
@@ -65,26 +65,24 @@ def christoffels(chart: ChartDomain, g: RiemannianField, x, step: float | None =
     return np.einsum("...ka,...aij->...kij", np.linalg.inv(G), low)
 
 
-def _riemann(chart: ChartDomain, g: RiemannianField, x: np.ndarray, h: float) -> np.ndarray:
+def _riemann(chart: ChartDomain, g: RiemannianField, x: np.ndarray) -> np.ndarray:
     """Rm[l, k, i, j] = component l of R(e_i, e_j) e_k at a single point."""
     n = chart.dim
-    Gam = christoffels(chart, g, x, step=h)
-    dGam = _partials(lambda y: christoffels(chart, g, y, step=h), x, n, 2.0 * h)
+    Gam = christoffels(chart, g, x)
+    dGam = _partials(lambda y: christoffels(chart, g, y), x, n, 2.0 * chart.fd_step)
     # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{ia} Gam^a_{jk} - Gam^l_{ja} Gam^a_{ik}
     term = np.einsum("iljk->lkij", dGam) - np.einsum("jlik->lkij", dGam)
     quad = np.einsum("lia,ajk->lkij", Gam, Gam) - np.einsum("lja,aik->lkij", Gam, Gam)
     return term + quad
 
 
-def sectional_curvature(chart: ChartDomain, g: RiemannianField, plane: PlaneAtPoint,
-                        step: float | None = None) -> float:
+def sectional_curvature(chart: ChartDomain, g: RiemannianField, plane: PlaneAtPoint) -> float:
     """K(u, v) = <R(u, v) v, u> / (|u|^2 |v|^2 - <u, v>^2) at the plane.
 
     Basis-invariant within ~1e-6 relative for well-conditioned planes;
     near-collinear vectors raise :class:`DegeneratePlaneError`.
     """
-    h = chart.fd_step if step is None else step
-    chart.require_interior(plane.x, margin=3.0 * h)
+    chart.require_interior(plane.x, margin=3.0 * chart.fd_step)
     G = g(plane.x)
     u, v = plane.u, plane.v
     uu = u @ G @ u
@@ -93,7 +91,7 @@ def sectional_curvature(chart: ChartDomain, g: RiemannianField, plane: PlaneAtPo
     gram = uu * vv - uv ** 2
     if gram < 1e-6 * uu * vv:
         raise DegeneratePlaneError("plane vectors are numerically collinear")
-    Rm = _riemann(chart, g, plane.x, h)
+    Rm = _riemann(chart, g, plane.x)
     Ruvv = np.einsum("lkij,i,j,k->l", Rm, u, v, v)
     return float((u @ G @ Ruvv) / gram)
 
@@ -122,16 +120,13 @@ class CurvatureSweep:
 
 
 def curvature_sweep(chart: ChartDomain, g: RiemannianField, count: int = 50,
-                    seed: int = 0, complex_structure: np.ndarray | None = None,
-                    step: float | None = None, margin: float | None = None) -> CurvatureSweep:
+                    seed: int = 0, complex_structure: np.ndarray | None = None) -> CurvatureSweep:
     """Sample sectional curvature at ``count`` random planes and points.
 
     With ``complex_structure`` J the planes are J-invariant (v = J u), which
     restricts the sweep to holomorphic sectional curvatures.
     """
-    h = chart.fd_step if step is None else step
-    if margin is None:
-        margin = 3.0 * h + 0.02 * chart.edges.min()
+    margin = 3.0 * chart.fd_step + 0.02 * chart.edges.min()
     rng = np.random.default_rng(seed)
     n = chart.dim
     pts = rng.uniform(chart.lower + margin, chart.upper - margin, size=(count, n))
@@ -146,5 +141,5 @@ def curvature_sweep(chart: ChartDomain, g: RiemannianField, count: int = 50,
             gram = (u @ u) * (v @ v) - (u @ v) ** 2
             if gram > 1e-3 * (u @ u) * (v @ v):
                 break
-        vals[i] = sectional_curvature(chart, g, PlaneAtPoint(x, u, v), step=h)
+        vals[i] = sectional_curvature(chart, g, PlaneAtPoint(x, u, v))
     return CurvatureSweep(points=pts, values=vals, seeds=np.arange(count, dtype=float))

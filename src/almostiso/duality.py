@@ -41,7 +41,6 @@ __all__ = [
     "gauge_samples",
     "dual_gauge_samples",
     "dual_norm_eval",
-    "double_dual_samples",
     "polar_barycenter",
     "betterment_covector",
     "betterment_eval",
@@ -234,10 +233,6 @@ class SupportSamples:
             raise InvalidBodyError("gauge values must be positive and finite")
         object.__setattr__(self, "values", v)
 
-    @staticmethod
-    def from_norm(norm: Callable[[np.ndarray], np.ndarray], grid: DirectionGrid) -> "SupportSamples":
-        return SupportSamples(grid, 1.0 / np.asarray(norm(grid.directions), dtype=float))
-
     def to_csv(self, path) -> None:
         n = self.grid.dim
         header = ",".join(f"u{i + 1}" for i in range(n)) + ",value"
@@ -276,15 +271,9 @@ def dual_norm_eval(norm, xi, grid: DirectionGrid) -> np.ndarray:
     return out[0] if single else out.reshape(xi.shape[:-1])
 
 
-def dual_gauge_samples(norm, grid: DirectionGrid) -> np.ndarray:
-    """F* evaluated at every grid direction (the dual body's gauge samples)."""
-    F = norm if isinstance(norm, np.ndarray) else gauge_samples(norm, grid)
-    return dual_norm_eval(F, grid.directions, grid)
-
-
-def double_dual_samples(values: np.ndarray, grid: DirectionGrid) -> np.ndarray:
-    """F** on the grid; returns the original values as the grid is refined."""
-    return dual_gauge_samples(dual_gauge_samples(values, grid), grid)
+def dual_gauge_samples(values: np.ndarray, grid: DirectionGrid) -> np.ndarray:
+    """F* at every grid direction (the dual body's gauge samples) from F's grid values."""
+    return dual_norm_eval(values, grid.directions, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +310,7 @@ def betterment_covector(norm, grid: DirectionGrid, frame: np.ndarray | None = No
     the returned covector is expressed in the original coordinates.
     """
     if frame is None:
-        F = norm if isinstance(norm, np.ndarray) else gauge_samples(norm, grid)
-        return polar_barycenter(dual_gauge_samples(F, grid), grid)
+        return polar_barycenter(dual_gauge_samples(gauge_samples(norm, grid), grid), grid)
     A = np.asarray(frame, dtype=float)
     framed = lambda v: norm(v @ A.T)
     b_tilde = polar_barycenter(dual_gauge_samples(gauge_samples(framed, grid), grid), grid)
@@ -366,20 +354,14 @@ class RiemannianFit:
     residual: float
 
 
-def riemannian_fit(samples, grid: DirectionGrid | None = None, tol: float = 1e-6) -> RiemannianFit:
-    """Least-squares fit of ``F(u)^2`` to ``u^T G u`` over the grid.
+def riemannian_fit(values, grid: DirectionGrid, tol: float = 1e-6) -> RiemannianFit:
+    """Least-squares fit of ``F(u)^2`` to ``u^T G u`` over the grid values ``F(u)``.
 
     ``is_quadratic`` holds iff the max relative residual is below ``tol``
     and the fitted form is positive-definite; an indefinite fit is reported
     with ``is_quadratic=False`` rather than raised.
     """
-    if isinstance(samples, SupportSamples):
-        grid = samples.grid
-        values = 1.0 / samples.values
-    else:
-        values = np.asarray(samples, dtype=float)
-        if grid is None:
-            raise ValueError("grid required when passing raw norm values")
+    values = np.asarray(values, dtype=float)
     if np.any(values <= 0.0):
         raise ConvexityError("norm samples must be positive")
     U = grid.directions
@@ -441,7 +423,7 @@ def polar_translation_check(norm, sigma, grid: DirectionGrid) -> float:
         raise ValueError(f"polar_translation_check needs a 2D grid, got dimension {grid.dim}")
     sigma = np.asarray(sigma, dtype=float)
     U = grid.directions
-    F = norm if isinstance(norm, np.ndarray) else gauge_samples(norm, grid)
+    F = gauge_samples(norm, grid)
     shift = U @ sigma
     Fs = F + shift
     if np.any(Fs <= 0.0):

@@ -99,8 +99,8 @@ def _admissibility_points(chart: ChartDomain) -> np.ndarray:
 
 
 def _certify_dtau(chart: ChartDomain, tau: OneFormField, target: TwoFormField,
-                  tol: float, n_points: int = 16) -> float:
-    pts = chart.sample_points(n_points, seed=5, margin=3 * chart.fd_step + 0.05 * chart.edges.min())
+                  tol: float) -> float:
+    pts = chart.sample_points(16, seed=5, margin=3 * chart.fd_step + 0.05 * chart.edges.min())
     # quarter step: the certificate measurement must not be limited by the
     # chart's working finite-difference accuracy
     measured = exterior_derivative(chart, tau, pts, step=chart.fd_step / 4)
@@ -179,7 +179,7 @@ _FS_J = standard_complex_structure(4)
 
 
 def _r2(x: np.ndarray) -> np.ndarray:
-    return (x ** 2).sum(axis=-1)
+    return sum(x[..., i] * x[..., i] for i in range(x.shape[-1]))
 
 
 def _fs_metric_components(x: np.ndarray) -> np.ndarray:
@@ -277,8 +277,8 @@ def _kahler_entry(name: str, g_kind: str, c: float, chart: ChartDomain, *,
     )
 
 
-def make_constant_curvature_2d(kind: str, c: float, box=None,
-                               fd_step: float = 1e-3, max_shrink: int = 8) -> GalleryEntry:
+def make_constant_curvature_2d(kind: str, c: float, fd_step: float = 1e-3,
+                               max_shrink: int = 8) -> GalleryEntry:
     """Flat / round-sphere / hyperbolic 2D chart with d(tau) = c * vol_g.
 
     The box shrinks automatically (up to ``max_shrink`` times) until
@@ -291,12 +291,11 @@ def make_constant_curvature_2d(kind: str, c: float, box=None,
         raise ValueError(f"kind must be one of {kinds}")
     return _kahler_entry(
         f"constant-curvature-2d[{kind}, c={c:g}]", f"{kind}-2d", c,
-        ChartDomain(_default_box(2) if box is None else box, fd_step),
-        curvature_tol=1e-3, max_shrink=max_shrink,
+        ChartDomain(_default_box(2), fd_step), curvature_tol=1e-3, max_shrink=max_shrink,
     )
 
 
-def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEntry:
+def make_flat_kahler_4d(c: float, fd_step: float = 1e-3) -> GalleryEntry:
     """Flat Kahler chart: g = I4, omega = dx1^dx2 + dx3^dx4, d(tau) = c*omega.
 
     tau = (c/2)(x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3).  Expected almost-Killing
@@ -304,11 +303,11 @@ def make_flat_kahler_4d(c: float, box=None, fd_step: float = 1e-3) -> GalleryEnt
     """
     return _kahler_entry(
         f"flat-kahler-4d[c={c:g}]", "flat-4d", c,
-        ChartDomain(_default_box(4) if box is None else box, fd_step), curvature_tol=1e-4,
+        ChartDomain(_default_box(4), fd_step), curvature_tol=1e-4,
     )
 
 
-def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEntry:
+def make_fubini_study_4d(c: float, fd_step: float = 3e-4) -> GalleryEntry:
     """Constant-holomorphic-curvature chart (complex projective plane).
 
     g comes from the Fubini-Study potential on the affine chart, omega is
@@ -321,7 +320,7 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
     The default ``fd_step`` is smaller than elsewhere so the residual-matrix
     noise floor stays below the 1e-7 rank threshold-stability band.
     """
-    chart = ChartDomain(_default_box(4, 0.35) if box is None else box, fd_step)
+    chart = ChartDomain(_default_box(4, 0.35), fd_step)
     omega = _kahler_form(_FS_J, _fubini_study(4))
 
     # Kahler form closedness: d(omega) has 4 independent 3-form components;
@@ -342,7 +341,7 @@ def make_fubini_study_4d(c: float, box=None, fd_step: float = 3e-4) -> GalleryEn
 # ---------------------------------------------------------------------------
 
 def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
-                        box=None, grad_f: Callable[[np.ndarray], np.ndarray] | None = None,
+                        grad_f: Callable[[np.ndarray], np.ndarray] | None = None,
                         fd_step: float = 1e-3) -> GalleryEntry:
     """Randers data with tau = df for a potential ``f`` (so d tau = 0).
 
@@ -356,7 +355,7 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
     if g_kind not in kinds:
         raise ValueError(f"g_kind must be one of {kinds}")
     n = _METRICS[g_kind].dim
-    chart = ChartDomain(_default_box(n) if box is None else box, fd_step)
+    chart = ChartDomain(_default_box(n), fd_step)
     if grad_f is not None:
         tau = OneFormField(lambda x: np.asarray(grad_f(x), dtype=float), n)
     else:

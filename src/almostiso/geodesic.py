@@ -37,12 +37,8 @@ from .duality import DirectionGrid
 from .metric import MetricField
 
 __all__ = [
-    "PathPolyline",
-    "TripleSample",
-    "path_length",
     "distance",
     "distance_batch",
-    "triangular",
     "triangular_batch",
     "t_invariance_check",
     "TInvarianceResult",
@@ -51,48 +47,6 @@ __all__ = [
     "solver_tolerance_certificate",
     "seeded_triples",
 ]
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """Ordered vertices of a discrete path from ``points[0]`` to ``points[-1]``."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or len(pts) < 2:
-            raise ValueError("a polyline needs at least two points")
-        steps = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-        if np.any(steps == 0.0):
-            raise DegenerateInputError("consecutive polyline points must be distinct")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def segments(self) -> int:
-        return len(self.points) - 1
-
-
-@dataclass(frozen=True)
-class TripleSample:
-    """Three chart points (p, q, r) for one triangular-function evaluation."""
-
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([np.asarray(self.p, float), np.asarray(self.q, float), np.asarray(self.r, float)])
-
-
-def path_length(F: MetricField, path) -> float:
-    """Midpoint-rule length ``sum F(mid, delta)`` along the polyline."""
-    pts = path.points if isinstance(path, PathPolyline) else np.asarray(path, dtype=float)
-    delta = pts[1:] - pts[:-1]
-    if np.any(np.linalg.norm(delta, axis=1) == 0.0):
-        raise DegenerateInputError("zero-length segment in path")
-    mid = 0.5 * (pts[1:] + pts[:-1])
-    return float(F(mid, delta).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +76,7 @@ def _local_lengths(F: MetricField, a, c, *trials) -> list[np.ndarray]:
     return [vals[:, i * m:(i + 1) * m] for i in range(j)]
 
 
-def _minimize_paths(F: MetricField, P: np.ndarray, lower, upper,
-                    iters: int, stop_tol: float = 1e-13) -> None:
+def _minimize_paths(F: MetricField, P: np.ndarray, lower, upper, iters: int) -> None:
     """Coordinate descent over interior vertices of paths ``P`` (in place).
 
     Each accepted move strictly decreases its path's length, and moves are
@@ -188,7 +141,7 @@ def _minimize_paths(F: MetricField, P: np.ndarray, lower, upper,
                 sweep_gain += float(np.where(improve, base - vbest, 0.0).sum())
                 base = np.where(improve, vbest, base)
             P[:, idx] = b
-        if sweep_gain < stop_tol * B:
+        if sweep_gain < 1e-13 * B:
             break
 
 
@@ -231,7 +184,13 @@ def distance_batch(F: MetricField, starts, ends, k: int = 16, iters: int = 400) 
     400 while its length fell from 1.6e-3 to 4.6e-3 below the exact
     distance, exploiting the midpoint rule with detail the resample
     discards, so no gain-based stop would fire there.
+
+    ``k < 1`` or ``iters < 0`` raises ``ValueError``: with no segment every
+    distance would read 0, and a negative budget would skip every sweep.
     """
+    if k < 1 or iters < 0:
+        raise ValueError("distance solve needs segments >= 1 and iters >= 0, "
+                         f"got segments={k}, iters={iters}")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     ends = np.atleast_2d(np.asarray(ends, dtype=float))
     if np.any(np.linalg.norm(ends - starts, axis=1) == 0.0):
@@ -276,12 +235,6 @@ def triangular_batch(F: MetricField, triples, k: int = 16, iters: int = 400) -> 
         d[~same] = distance_batch(F, starts[~same], ends[~same], k, iters)
     B = len(T)
     return d[:B] + d[B:2 * B] - d[2 * B:]
-
-
-def triangular(F: MetricField, sample, k: int = 16, iters: int = 400) -> float:
-    """Triangular function for one triple; nonnegative up to solver error."""
-    arr = sample.as_array() if isinstance(sample, TripleSample) else np.asarray(sample, dtype=float)
-    return float(triangular_batch(F, arr[None], k, iters)[0])
 
 
 @dataclass(frozen=True)
@@ -338,8 +291,8 @@ class PullbackDelta:
     closedness_residual: float
 
 
-def _fit_covector(F: MetricField, phi, x, grid: DirectionGrid, h: float) -> tuple[np.ndarray, float]:
-    J = np.moveaxis(_partials(phi, x, grid.dim, h), 0, -1)   # J[a, i] = d phi_a / d x_i
+def _fit_covector(F: MetricField, phi, x, grid: DirectionGrid) -> tuple[np.ndarray, float]:
+    J = np.moveaxis(_partials(phi, x, grid.dim, 1e-5), 0, -1)   # J[a, i] = d phi_a / d x_i
     if abs(np.linalg.det(J)) < 1e-12:
         raise InvalidMapError(f"map has singular Jacobian at {x}")
     U = grid.directions
@@ -354,8 +307,7 @@ def _fit_covector(F: MetricField, phi, x, grid: DirectionGrid, h: float) -> tupl
 
 
 def pullback_delta(F: MetricField, phi: Callable[[np.ndarray], np.ndarray], x,
-                   grid: DirectionGrid, jacobian_step: float = 1e-5,
-                   closedness_points=None, closedness_step: float | None = None) -> PullbackDelta:
+                   grid: DirectionGrid) -> PullbackDelta:
     """Measure how far ``phi`` is from a trivial projective change of ``F``.
 
     The deviation ``delta(x, u) = F(phi(x), Dphi(x) u) - F(x, u)`` is sampled
@@ -368,19 +320,17 @@ def pullback_delta(F: MetricField, phi: Callable[[np.ndarray], np.ndarray], x,
     chart = F.chart
     if chart is None:
         raise ValueError("pullback_delta needs a metric with a chart")
-    cov, lin_res = _fit_covector(F, phi, x, grid, jacobian_step)
+    cov, lin_res = _fit_covector(F, phi, x, grid)
 
-    H = closedness_step if closedness_step is not None else 10.0 * chart.fd_step
-    if closedness_points is None:
-        # cluster near x: the map phi is only assumed well-defined there
-        n = chart.dim
-        offsets = np.vstack([np.zeros(n), 2 * H * np.eye(n), -2 * H * np.eye(n)])
-        closedness_points = np.atleast_2d(x) + offsets
-    closedness_points = np.atleast_2d(np.asarray(closedness_points, dtype=float))
+    # cluster near x: the map phi is only assumed well-defined there
+    H = 10.0 * chart.fd_step
+    n = chart.dim
+    offsets = np.vstack([np.zeros(n), 2 * H * np.eye(n), -2 * H * np.eye(n)])
+    closedness_points = np.atleast_2d(x) + offsets
 
     def cov_field(pts):
         pts = np.atleast_2d(pts)
-        return np.stack([_fit_covector(F, phi, p, grid, jacobian_step)[0] for p in pts])
+        return np.stack([_fit_covector(F, phi, p, grid)[0] for p in pts])
 
     field = OneFormField(lambda pts: cov_field(pts).reshape(np.asarray(pts).shape), chart.dim)
     d_cov = exterior_derivative(chart, field, closedness_points, step=H)

@@ -1,4 +1,4 @@
-"""Finsler norm evaluation: Randers family, symmetrization, one-form shifts.
+"""Finsler norm evaluation: the Randers family and one-form shifts.
 
 A :class:`MetricField` is a positively 1-homogeneous norm evaluator
 ``F(x, y)`` over a chart; it may be nonreversible (``F(x, -y) != F(x, y)``).
@@ -23,9 +23,6 @@ __all__ = [
     "RandersData",
     "randers_eval",
     "randers_metric",
-    "euclidean_metric",
-    "symmetrize",
-    "symmetrize_eval",
     "add_one_form",
     "convexity_margin",
 ]
@@ -136,30 +133,6 @@ def randers_metric(data: RandersData, chart: ChartDomain | None = None) -> Metri
         reversible=False,
         chart=chart,
     )
-
-
-def euclidean_metric(n: int, chart: ChartDomain | None = None) -> MetricField:
-    return MetricField(
-        lambda x, y: np.sqrt(np.einsum("...i,...i->...", y, y)),
-        dim=n,
-        reversible=True,
-        chart=chart,
-    )
-
-
-def symmetrize(F: MetricField) -> MetricField:
-    """The reversible norm ``(F(x, y) + F(x, -y)) / 2``."""
-    return MetricField(
-        lambda x, y: 0.5 * (F(x, y) + F(x, -y)),
-        dim=F.dim,
-        reversible=True,
-        chart=F.chart,
-    )
-
-
-def symmetrize_eval(F: MetricField, x, y) -> np.ndarray:
-    _require_nonzero(y)
-    return 0.5 * (F(x, y) + F(x, -np.asarray(y, dtype=float)))
 
 
 def add_one_form(

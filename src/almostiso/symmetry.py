@@ -258,13 +258,13 @@ class InvariantFormsResult:
     singular_values: np.ndarray
 
 
-def invariant_two_forms(generators, threshold: float = 1e-9) -> InvariantFormsResult:
+def invariant_two_forms(generators) -> InvariantFormsResult:
     """Common kernel of a Lie algebra acting on 2-forms.
 
     A generator A acts on a form beta by ``(A . beta) = A^T beta + beta A``
     (minus the commutator action for antisymmetric A); the invariant forms
     are the joint nullspace over all generators, cut by
-    :func:`nullspace_dimension`.
+    :func:`nullspace_dimension` at relative singular value 1e-9.
     """
     A = np.asarray([np.asarray(a, dtype=float) for a in generators])
     n = A.shape[-1]
@@ -278,7 +278,7 @@ def invariant_two_forms(generators, threshold: float = 1e-9) -> InvariantFormsRe
     beta[np.arange(N), j, i] = -1.0
     acted = np.swapaxes(A, 1, 2)[:, None] @ beta + beta @ A[:, None]   # (gen, col, n, n)
     stacked = np.swapaxes(acted[:, :, i, j], 1, 2).reshape(-1, N)
-    null = nullspace_dimension(stacked, sv_threshold=threshold)
+    null = nullspace_dimension(stacked, sv_threshold=1e-9)
     mats = np.zeros((null.dimension, n, n))
     mats[:, i, j] = null.basis
     mats[:, j, i] = -null.basis

@@ -103,6 +103,25 @@ class TestVerifyCommand:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "example-2.5", "--segments", "0"],
+        ["distance", "example-2.5", "--segments", "0", "--from", "0,0", "--to", "0.3,0"],
+        ["triangle", "example-2.5", "--segments", "0", "--flow-field=x1;x2", "--flow-time", "0.2"],
+        ["triangle", "example-2.5", "--iters", "-1"],
+    ], ids=["verify", "distance", "triangle-dilation", "triangle-negative-iters"])
+    def test_empty_solve_exit_2(self, argv, capsys):
+        # with no segment every distance read 0, so a dilation passed t-invariance
+        assert main(argv) == 2
+        assert "segments >= 1 and iters >= 0" in capsys.readouterr().err
+
+    def test_config_solver_without_segments_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(CONFIG))
+        raw["solver"]["segments"] = 0
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(raw))
+        assert main(["distance", "--config", str(path), "--from", "0,0", "--to", "0.3,0"]) == 2
+        assert "segments >= 1" in capsys.readouterr().err
+
     def test_verify_flat_25(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "example-2.5", "--c", "0.4", "--out", str(out)])
@@ -234,6 +253,23 @@ class TestOtherCommands:
         check = report["checks"][0]
         assert check["pass"] is True
         assert abs(np.array(check["detail"]["fitted_matrix"]) - np.eye(2)).max() < 1e-4
+
+    def test_samples_out_csvs(self, tmp_path):
+        body, planes = tmp_path / "body.csv", tmp_path / "planes.csv"
+        assert main(["betterment", "example-2.5", "--frame", "--samples-out", str(body)]) == 0
+        assert main(["curvature", "example-2.5-sphere", "--planes", "5",
+                     "--samples-out", str(planes)]) == 0
+        # recentred gauge values 1 / F_better(u) on the 512-gon: the unit disk of g = I
+        assert body.read_text().splitlines()[0] == "u1,u2,value"
+        rows = np.loadtxt(body, delimiter=",", skiprows=1)
+        assert rows.shape == (512, 3)
+        assert np.all(rows[:, 2] > 0)
+        assert np.abs(rows[:, 2] - 1.0).max() < 1e-4
+        # one row per plane: point, plane seed, sectional curvature of the unit sphere
+        assert planes.read_text().splitlines()[0] == "x1,x2,plane_seed,K"
+        sweep = np.loadtxt(planes, delimiter=",", skiprows=1)
+        assert sweep.shape == (5, 4)
+        assert np.abs(sweep[:, 3] - 1.0).max() < 1e-3
 
     def test_dimension_config(self, config_path, capsys):
         code = main(["dimension", "--config", config_path, "--expect-dimension", "3",

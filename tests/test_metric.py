@@ -1,4 +1,4 @@
-"""Randers norm evaluation, symmetrization, and one-form shifts."""
+"""Randers norm evaluation and one-form shifts."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from almostiso import (
     RiemannianField,
     add_one_form,
     convexity_margin,
-    euclidean_metric,
     randers_eval,
     randers_metric,
-    symmetrize,
-    symmetrize_eval,
 )
 from almostiso.errors import ConvexityError, DegenerateInputError
 
@@ -23,6 +20,11 @@ CHART = ChartDomain([[-0.5, 0.5], [-0.5, 0.5]])
 
 def constant_data(g, tau):
     return RandersData(RiemannianField.constant(g), OneFormField.constant(tau))
+
+
+def euclidean():
+    """The Euclidean norm: a flat Randers metric with tau = 0."""
+    return randers_metric(constant_data(np.eye(2), [0.0, 0.0]), chart=CHART)
 
 
 class TestRandersEval:
@@ -83,36 +85,15 @@ class TestRandersEval:
         np.testing.assert_allclose(fast, slow, rtol=4 * np.finfo(float).eps, atol=0)
 
 
-class TestSymmetrize:
-    def test_drift_cancels(self):
-        F = randers_metric(constant_data(np.eye(2), [0.5, 0.0]))
-        assert symmetrize_eval(F, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_riemannian_unchanged(self):
-        F = euclidean_metric(2)
-        y = np.array([0.3, -0.8])
-        assert symmetrize_eval(F, np.zeros(2), y) == pytest.approx(F(np.zeros(2), y))
-
-    def test_anisotropic_cancellation(self):
-        F = randers_metric(constant_data(np.diag([4.0, 1.0]), [0.0, 0.3]))
-        assert symmetrize_eval(F, np.zeros(2), np.array([0.0, 1.0])) == pytest.approx(1.0)
-
-    def test_exactly_even(self):
-        F = symmetrize(randers_metric(constant_data(np.diag([2.0, 1.0]), [0.2, 0.1])))
-        y = np.array([0.4, 0.7])
-        assert F(np.zeros(2), y) == F(np.zeros(2), -y)
-        assert F.reversible
-
-
 class TestAddOneForm:
     def test_zero_shift_identity(self):
-        F = euclidean_metric(2, chart=CHART)
+        F = euclidean()
         G = add_one_form(F, OneFormField.constant([0.0, 0.0]))
         y = np.array([0.3, 0.4])
         assert G(np.zeros(2), y) == pytest.approx(F(np.zeros(2), y))
 
     def test_matches_randers(self):
-        F = euclidean_metric(2, chart=CHART)
+        F = euclidean()
         G = add_one_form(F, OneFormField.constant([0.5, 0.0]))
         data = constant_data(np.eye(2), [0.5, 0.0])
         rng = np.random.default_rng(0)
@@ -121,18 +102,18 @@ class TestAddOneForm:
         assert np.allclose(G(X, Y), randers_eval(data, X, Y, validate=False))
 
     def test_unit_shift_rejected(self):
-        F = euclidean_metric(2, chart=CHART)
+        F = euclidean()
         with pytest.raises(ConvexityError):
             add_one_form(F, OneFormField.constant([1.0, 0.0]))
 
     def test_symmetrization_discards_shift(self):
-        # the odd part is dropped: sym(F + sigma) == sym(F)
+        # the shift is odd in y, so the even part F(y) + F(-y) keeps no trace of it
         F = randers_metric(constant_data(np.diag([2.0, 1.0]), [0.1, 0.0]), chart=CHART)
         G = add_one_form(F, OneFormField.constant([0.2, -0.1]))
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((30, 2))
         X = np.zeros((30, 2))
-        assert np.allclose(symmetrize(G)(X, Y), symmetrize(F)(X, Y), atol=1e-12)
+        assert np.allclose(G(X, Y) + G(X, -Y), F(X, Y) + F(X, -Y), atol=1e-12)
 
 
 class TestConvexityMargin:
