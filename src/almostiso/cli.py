@@ -28,6 +28,7 @@ import numpy as np
 from .chart import ChartDomain, VectorField, flow_point_map
 from .config import load_config
 from .duality import (
+    _betterment_passes,
     betterment_covector,
     direction_grid,
     riemannian_fit,
@@ -75,31 +76,26 @@ def _emit(report: VerificationReport, args) -> int:
 def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int) -> tuple[float, dict]:
     """Max relative deviation of the recentred norm from sqrt(g) at three points.
 
-    Computed in a g-orthonormal frame per point; 4D sample points are kept
-    in the middle of the box where the fixed-size direction grid resolves
-    the dual body's translation (see package docs on grid aliasing).
+    Computed in a g-orthonormal frame per point.  The detail records each
+    point's covector and the size of its defect correction ``|b1 - b0|`` in
+    the g-dual norm, the witness of the grid's discretisation error.
     """
     chart, data = entry_or_config.chart, entry_or_config.randers
-    n = chart.dim
-    grid = direction_grid(n, grid_m)
+    grid = direction_grid(chart.dim, grid_m)
     pts = chart.sample_points(3, seed=seed, margin=0.1 * chart.edges.min())
-    if n > 2:
-        center = 0.5 * (chart.lower + chart.upper)
-        radius = 0.45 * chart.edges.min() / 2.0
-        pts = center + (pts - center) * min(1.0, radius / max(
-            np.linalg.norm(pts - center, axis=1).max(), 1e-12))
+    U = grid.directions
     worst = 0.0
-    barys = []
+    barys, corrections = [], []
     for x in pts:
         norm = data.norm_at(x)
         G = data.g(x)
         frame = np.linalg.inv(np.linalg.cholesky(G)).T
-        b = betterment_covector(norm, grid, frame=frame)
-        U = grid.directions
+        b0, b = _betterment_passes(norm, grid, frame=frame)
         target = np.sqrt(np.einsum("ki,ij,kj->k", U, G, U))
         worst = max(worst, float(np.abs((norm(U) - U @ b) / target - 1.0).max()))
-        barys.append(b)
-    return worst, {"points": pts.tolist(), "barycenters": [b.tolist() for b in barys]}
+        barys.append(b.tolist())
+        corrections.append(float(np.sqrt((b - b0) @ np.linalg.solve(G, b - b0))))
+    return worst, {"points": pts.tolist(), "barycenters": barys, "corrections": corrections}
 
 
 def _timed(fn):
@@ -401,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("betterment", help="dual-body recentering pipeline")
     _add_common(p)
     p.add_argument("--grid-m", type=int, default=None, dest="grid_m")
-    p.add_argument("--point", help="chart point 'x1,x2,...' (default: box center)")
+    p.add_argument("--point", help="chart point 'x1,x2,...' (default: box center); "
+                   "write a negative first coordinate as --point=-0.1,0")
     p.add_argument("--frame", action="store_true", help="compute in a g-orthonormal frame")
     p.add_argument("--samples-out", dest="samples_out", help="CSV path for recentred samples")
     p.set_defaults(fn=cmd_betterment)
@@ -418,8 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance d, refined, cauchy_difference, reverse")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--from", dest="src", required=True, help="start point 'x1,x2,...'")
-    p.add_argument("--to", dest="dst", required=True, help="end point 'x1,x2,...'")
+    p.add_argument("--from", dest="src", required=True,
+                   help="start point 'x1,x2,...'; write a negative first coordinate "
+                   "as --from=-0.1,0")
+    p.add_argument("--to", dest="dst", required=True,
+                   help="end point 'x1,x2,...'; write a negative first coordinate "
+                   "as --to=-0.1,0")
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("curvature", help="sectional curvature sweep")

@@ -80,8 +80,9 @@ def test_criterion_02_betterment_shift_invariance(grid2, grid4):
          [[0.1, 0.0], [0.0, 0.15], [0.05, 0.1]]),
         (grid2, np.diag([4.0, 1.0]), [0.1, 0.0],
          [[0.1, 0.0], [0.0, 0.15], [0.05, 0.1]]),
-        # 4D covectors stay small: at m = 1e4 on S^3 the grid-max dual has
-        # an aliasing error ~ |shift|^3 / 2, so |tau| + |sigma| <= 0.04
+        # small 4D covectors, |tau| + |sigma| <= 0.04: the grid-max dual on
+        # S^3 aliases a shift, which the covector's one defect-correction
+        # pass removes (larger shifts are tested in tests/test_duality.py)
         (grid4, np.eye(4), [0.02, 0.0, 0.0, 0.0],
          [[0.02, 0.0, 0.0, 0.0], [0.0, 0.02, 0.0, 0.0], [0.01, 0.0, 0.01, 0.01]]),
     ]

@@ -133,6 +133,21 @@ class TestVerifyCommand:
         assert by_id["almost-killing-dimension"]["measured"] == 3.0
         assert by_id["spectral-gap"]["measured"] > 1e2
 
+    def test_verify_flat_4d_betterment(self, tmp_path):
+        # tau = 0.2 dx1 is constant; the corrected covector recovers it
+        from almostiso import build_gallery_entry
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "example-2-4d", "--out", str(out)]) == 0
+        detail = {c["id"]: c for c in json.loads(out.read_text())["checks"]}[
+            "betterment-recovery"]["detail"]
+        entry = build_gallery_entry("example-2-4d")
+        for x, b in zip(detail["points"], detail["barycenters"]):
+            diff = np.asarray(b) - entry.tau(np.asarray(x))
+            assert np.sqrt(diff @ np.linalg.solve(entry.g(np.asarray(x)), diff)) < 1e-10
+        assert len(detail["corrections"]) == 3
+        assert all(c > 0.0 for c in detail["corrections"])
+
     def test_verify_builds_one_residual(self, tmp_path, monkeypatch):
         # dimension, threshold stability and cross-validation share one spectrum
         from almostiso import symmetry
@@ -294,6 +309,12 @@ class TestOtherCommands:
         # the rotational drift bows the geodesic: slightly below straight
         assert 0.29 < check["measured"] <= 0.3 + 1e-12
         assert check["detail"]["cauchy_difference"] < 1e-5
+
+    def test_distance_negative_first_coordinate(self, capsys):
+        # "--from -0.1,0" reads as an option; the "=" form passes the value
+        code = main(["distance", "example-2.5-hyperbolic", "--from=-0.1,0", "--to=0.2,0.1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["measured"] > 0.0
 
     def test_curvature(self, capsys):
         code = main(["curvature", "example-2.5-sphere", "--planes", "10",
