@@ -86,14 +86,16 @@ class ChartDomain:
             )
 
     def sample_points(self, count: int, seed: int = 0, margin: float | None = None) -> np.ndarray:
-        """Seeded low-discrepancy (Sobol) sample inside a margin-shrunk box."""
-        from scipy.stats import qmc  # deferred: scipy.stats dominates import time
+        """The first ``count`` scrambled Sobol points inside a margin-shrunk box.
 
+        Joe-Kuo direction numbers with Matousek's linear matrix scramble and
+        digital shift, drawn from ``np.random.default_rng(seed)``: bit for bit
+        the points of ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)``,
+        for charts of dimension at most 12.
+        """
         if margin is None:
             margin = 0.05 * self.edges.min()
-        eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
-        pow2 = 1 << max(0, int(np.ceil(np.log2(max(count, 1)))))
-        pts = eng.random(pow2)[:count]
+        pts = _sobol(self.dim, count, seed)
         lo = self.lower + margin
         hi = self.upper - margin
         return lo + pts * (hi - lo)
@@ -112,6 +114,73 @@ class ChartDomain:
         center = 0.5 * (self.lower + self.upper)
         half = 0.5 * factor * self.edges
         return ChartDomain(np.stack([center - half, center + half], axis=1), self.fd_step)
+
+
+# Joe-Kuo direction numbers (S. Joe and F. Kuo, SIAM J. Sci. Comput. 30,
+# 2008), one (s, a, m) row per dimension after the first, which is van der
+# Corput's: degree s and coefficients a of the primitive polynomial, initial m.
+_JOE_KUO = (
+    (1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+    (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)),
+    (5, 4, (1, 1, 5, 5, 5)), (5, 7, (1, 1, 7, 11, 19)), (5, 11, (1, 1, 5, 1, 1)),
+    (5, 13, (1, 1, 1, 3, 11)),
+)
+_SOBOL_BITS = 30
+_SOBOL_MAX_DIM = len(_JOE_KUO) + 1
+
+
+@lru_cache(maxsize=None)
+def _sobol_bits(d: int) -> np.ndarray:
+    """``(d, bits, bits)`` array: entry ``[k, i, j]`` is bit i of direction v_j of axis k."""
+    m = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for k, (s, a, m0) in enumerate(_JOE_KUO[:d - 1], start=1):
+        row = list(m0)
+        for i in range(s, _SOBOL_BITS):
+            new = row[i - s] ^ (row[i - s] << s)
+            for j in range(1, s):
+                if (a >> (s - 1 - j)) & 1:
+                    new ^= row[i - j] << j
+            row.append(new)
+        m[k] = row
+    bit = np.arange(_SOBOL_BITS)
+    v = m << (_SOBOL_BITS - 1 - bit)
+    table = (v[:, None, :] >> bit[:, None]) & 1
+    table.flags.writeable = False       # cached: one array for every caller
+    return table
+
+
+def _sobol(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of the LMS + shift scrambled Sobol sequence in ``[0, 1)^d``.
+
+    Equal to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n)[:count]``
+    for any power of two ``n >= count``: the random draws are made in scipy's
+    order, and the points run in Gray-code order, so none of the first
+    ``count`` depends on how many follow.
+    """
+    if not 1 <= d <= _SOBOL_MAX_DIM:
+        raise ValueError(f"Sobol points are tabulated for 1 to {_SOBOL_MAX_DIM} "
+                         f"dimensions, not {d}")
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    weights = 1 << np.arange(bits, dtype=np.int64)
+    # drawn as uint32, as scipy draws them: the dtype sets how much of the
+    # generator's stream each draw consumes
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32).astype(np.int64) @ weights
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32)).astype(np.int64)
+    diag = np.arange(bits)
+    ltm[:, diag, diag] = 1
+    # Matousek's linear scramble: bit (bits-1-p) of v'_j is the parity of
+    # row p of the matrix, read from its last column, against the bits of v_j
+    n_dirs = max(1, int(count - 1).bit_length())
+    parity = (ltm[:, :, ::-1] @ _sobol_bits(d)[:, :, :n_dirs]) & 1
+    v = weights[::-1] @ parity                              # (d, n_dirs)
+    # point i is the XOR of v'_b over the set bits b of gray(i) = i ^ (i >> 1);
+    # the Gray code's reflection doubles the table one direction at a time
+    q = np.zeros((1 << n_dirs, d), dtype=np.int64)
+    for b in range(n_dirs):
+        half = 1 << b
+        q[half:2 * half] = q[half - 1::-1] ^ v[:, b]
+    return (q[:count] ^ shift) * 2.0 ** -bits
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +221,35 @@ def _antisymmetric_pairs(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OneFormField:
-    """Covector field: points ``(..., n)`` -> components ``(..., n)``."""
+    """Covector field: points ``(..., n)`` -> components ``(..., n)``.
+
+    ``values`` is set only by :meth:`constant`: the read-only value of a
+    field that does not depend on the point.
+    """
 
     components: Callable[[np.ndarray], np.ndarray]
     dim: int
+    values: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __call__(self, x) -> np.ndarray:
+        if self.values is not None:
+            return _eval_shaped(self.components, x, self.dim, (self.dim,))  # checked in constant()
         return _eval_components(self.components, x, self.dim, (self.dim,))
 
     @staticmethod
     def constant(values) -> "OneFormField":
-        values = np.asarray(values, dtype=float)
+        """The field ``x -> values``, validated once, as :meth:`RiemannianField.constant` is.
+
+        Each evaluation returns a read-only broadcast view of a frozen copy of
+        ``values``, neither copied nor checked again.
+        """
+        values = np.array(values, dtype=float)
         n = values.shape[0]
-        return OneFormField(lambda x: np.broadcast_to(values, x.shape[:-1] + (n,)).copy(), n)
+        OneFormField(lambda x: values, n)(np.zeros(n))
+        values.flags.writeable = False
+        tau = OneFormField(lambda x: np.broadcast_to(values, x.shape[:-1] + (n,)), n)
+        object.__setattr__(tau, "values", values)
+        return tau
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .chart import ChartDomain, VectorField, flow_point_map
 from .config import load_config
 from .duality import (
     _betterment_passes,
-    betterment_covector,
     direction_grid,
     riemannian_fit,
     SupportSamples,
@@ -73,6 +72,11 @@ def _emit(report: VerificationReport, args) -> int:
     return 0 if report.passed else 1
 
 
+def _correction_size(delta: np.ndarray, G: np.ndarray | None) -> float:
+    """``|b1 - b0|`` in the g-dual norm, or the Euclidean norm if ``G`` is None."""
+    return float(np.sqrt(delta @ (delta if G is None else np.linalg.solve(G, delta))))
+
+
 def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int) -> tuple[float, dict]:
     """Max relative deviation of the recentred norm from sqrt(g) at three points.
 
@@ -94,7 +98,7 @@ def _betterment_recovery(entry_or_config, grid_m: int | None, seed: int) -> tupl
         target = np.sqrt(np.einsum("ki,ij,kj->k", U, G, U))
         worst = max(worst, float(np.abs((norm(U) - U @ b) / target - 1.0).max()))
         barys.append(b.tolist())
-        corrections.append(float(np.sqrt((b - b0) @ np.linalg.solve(G, b - b0))))
+        corrections.append(_correction_size(b - b0, G))
     return worst, {"points": pts.tolist(), "barycenters": barys, "corrections": corrections}
 
 
@@ -221,8 +225,9 @@ def cmd_betterment(args) -> int:
     x = _parse_point(args.point) if args.point else 0.5 * (chart.lower + chart.upper)
     digest = inputs_digest({"target": name, "point": x.tolist(), "m": grid.m})
     norm = data.norm_at(x)
-    frame = np.linalg.inv(np.linalg.cholesky(data.g(x))).T if args.frame else None
-    b = betterment_covector(norm, grid, frame=frame)
+    G = data.g(x) if args.frame else None
+    frame = np.linalg.inv(np.linalg.cholesky(G)).T if args.frame else None
+    b0, b = _betterment_passes(norm, grid, frame=frame)
     better_vals = norm(grid.directions) - grid.directions @ b
     fit = riemannian_fit(better_vals, grid)
     report = VerificationReport(
@@ -231,7 +236,8 @@ def cmd_betterment(args) -> int:
     )
     report.add(CheckRecord(
         "riemannian-detection", digest, fit.residual, 1e-6, fit.is_quadratic,
-        detail={"barycenter": b.tolist(), "fitted_matrix": fit.matrix.tolist()},
+        detail={"barycenter": b.tolist(), "correction": _correction_size(b - b0, G),
+                "fitted_matrix": fit.matrix.tolist()},
     ))
     if args.samples_out:
         SupportSamples(grid, 1.0 / better_vals).to_csv(args.samples_out)

@@ -14,6 +14,7 @@ from almostiso import (
     gradient_one_form,
     lie_derivative,
 )
+from almostiso.chart import _sobol
 from almostiso.errors import BoundaryError, DomainEscapeError
 
 CHART = ChartDomain([[-0.5, 0.5], [-0.5, 0.5]], fd_step=1e-3)
@@ -262,10 +263,35 @@ def test_constant_matrix_is_not_a_constructor_parameter():
     assert np.array_equal(h(np.zeros(2)), 2.0 * np.eye(2))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_constant_one_form_validated_at_construction(n):
+    # the checks and messages of a general field's evaluation, made once
+    for value in (np.nan, np.inf):
+        t = np.full(n, 0.1)
+        t[n - 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            OneFormField.constant(t)
+    with pytest.raises(ValueError, match="field returned shape"):
+        OneFormField.constant(np.ones((n, 2)))
+    values = np.arange(n) / 10.0
+    tau = OneFormField.constant(values)
+    with pytest.raises(ValueError, match="points have dimension"):
+        tau(np.zeros((5, n + 1)))
+    out = tau(np.zeros((5, 7, n)))
+    assert out.shape == (5, 7, n)
+    assert np.array_equal(out, np.broadcast_to(values, out.shape))
+    assert not out.flags.writeable and not tau.values.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 1.0
+    # the field freezes a copy: the caller's array stays writable and apart
+    values[0] = 5.0
+    assert tau(np.zeros(n))[0] == 0.0
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats (Sobol samples), scipy.optimize (support LPs) and
-    # scipy.spatial (3D grid weights) load on first use: importing them cost
-    # most of `import almostiso`, and the CLI's start-up loads no scipy at all
+    # scipy.spatial (3D grid weights) loads on first use, and nothing else
+    # imports scipy: neither `import almostiso` nor the CLI's start-up, nor
+    # building the gallery, counting dimensions, betterment and distances
     import os
     import subprocess
     import sys
@@ -274,9 +300,60 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(almostiso.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import almostiso; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
-            "if m in sys.modules)); import almostiso.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "import almostiso.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "from almostiso import gallery_catalog, build_gallery_entry, "
+            "almost_killing_dimension, distance, randers_metric; "
+            "from almostiso.cli import _betterment_recovery; "
+            "entries = {n: build_gallery_entry(n) for n in gallery_catalog()}; "
+            "[almost_killing_dimension(e.chart, e.randers.g, e.randers.tau, dtau=e.dtau, "
+            "cross_validate=False) for e in (entries['example-2.5'], entries['example-3'])]; "
+            "[_betterment_recovery(entries[n], None, 0) for n in ('example-2.5', 'example-3')]; "
+            "e = entries['example-2.5']; "
+            "distance(randers_metric(e.randers, e.chart), [0.0, 0.0], [0.1, 0.05], k=4, iters=10); "
+            "print(len(entries), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]", "[]", "9", "[]"]
+
+
+def _scipy_sobol(d, count, seed):
+    from scipy.stats import qmc
+
+    n = 1 << max(0, (count - 1).bit_length())
+    return qmc.Sobol(d=d, scramble=True, seed=seed).random(n)[:count]
+
+
+SOBOL_SEEDS = list(range(14)) + list(range(101, 111)) + [3, 5, 7, 9]
+SOBOL_COUNTS = [1, 3, 5, 16, 37, 64, 300, 512]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sobol_is_scipys_scrambled_sobol(d):
+    for seed in SOBOL_SEEDS:
+        for count in SOBOL_COUNTS:
+            ref = _scipy_sobol(d, count, seed)
+            assert np.array_equal(_sobol(d, count, seed), ref), (seed, count)
+
+
+def test_sobol_dimension_limit():
+    with pytest.raises(ValueError, match="1 to 12 dimensions"):
+        _sobol(13, 4, 0)
+    with pytest.raises(ValueError, match="1 to 12 dimensions"):
+        ChartDomain(np.tile([-1.0, 1.0], (13, 1))).sample_points(4)
+
+
+def test_gallery_sample_points_are_scipys():
+    # the points every gallery certificate and count is sampled at
+    from almostiso import build_gallery_entry, gallery_catalog
+
+    for name in gallery_catalog():
+        chart = build_gallery_entry(name).chart
+        for margin in (None, 0.1 * chart.edges.min()):
+            m = 0.05 * chart.edges.min() if margin is None else margin
+            lo, hi = chart.lower + m, chart.upper - m
+            for seed in (3, 5, 7, 9):
+                for count in (3, 8, 16, 32, 37):
+                    ref = lo + _scipy_sobol(chart.dim, count, seed) * (hi - lo)
+                    assert np.array_equal(chart.sample_points(count, seed, margin), ref), name

@@ -269,6 +269,23 @@ class TestOtherCommands:
         assert check["pass"] is True
         assert abs(np.array(check["detail"]["fitted_matrix"]) - np.eye(2)).max() < 1e-4
 
+    def test_betterment_records_correction(self, capsys):
+        # |b1 - b0| in the g-dual norm, as verify's betterment-recovery records it
+        from almostiso.duality import _betterment_passes, direction_grid
+        from almostiso.gallery import build_gallery_entry
+
+        # off the centre, where tau vanishes and so does the correction
+        assert main(["betterment", "example-2.5", "--frame", "--point", "0.2,0.1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        correction = report["checks"][0]["detail"]["correction"]
+        assert np.isfinite(correction) and correction > 0.0
+        entry = build_gallery_entry("example-2.5")
+        x = np.array([0.2, 0.1])
+        G = entry.randers.g(x)
+        b0, b1 = _betterment_passes(entry.randers.norm_at(x), direction_grid(2),
+                                    frame=np.linalg.inv(np.linalg.cholesky(G)).T)
+        assert correction == float(np.sqrt((b1 - b0) @ np.linalg.solve(G, b1 - b0)))
+
     def test_samples_out_csvs(self, tmp_path):
         body, planes = tmp_path / "body.csv", tmp_path / "planes.csv"
         assert main(["betterment", "example-2.5", "--frame", "--samples-out", str(body)]) == 0

@@ -85,6 +85,28 @@ class TestRandersEval:
         np.testing.assert_allclose(fast, slow, rtol=4 * np.finfo(float).eps, atol=0)
 
 
+    def test_constant_tau_matches_general_field_on_readme_config(self):
+        # README's chart and g with a constant tau: the broadcast view, checked
+        # once, gives the values of a general field checked at every call
+        from almostiso.config import config_from_dict
+
+        cfg = config_from_dict({
+            "chart": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "fd_step": 1e-3},
+            "metric": {"kind": "randers",
+                       "g": {"kind": "constant", "matrix": [[1, 0], [0, 1]]},
+                       "tau": {"kind": "constant", "components": [0.2, -0.1]}},
+        })
+        tau = cfg.randers.tau
+        assert tau.values is not None
+        general = OneFormField(lambda p: np.broadcast_to(tau.values, p.shape).copy(), 2)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-0.4, 0.4, (270, 48, 2))
+        y = rng.standard_normal((270, 48, 2))
+        fast = randers_eval(cfg.randers, x, y)
+        slow = randers_eval(RandersData(cfg.randers.g, general), x, y)
+        assert np.array_equal(fast, slow)
+
+
 class TestAddOneForm:
     def test_zero_shift_identity(self):
         F = euclidean()
