@@ -356,7 +356,6 @@ def _partials(fn, x, n, h):
     for a, e in enumerate(h * np.eye(n)):
         diff = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
         if out is None:
-            # filled in place: the curvature sweep calls this per point
             out = np.empty((n,) + diff.shape)
         out[a] = diff / (2.0 * h)
     return out

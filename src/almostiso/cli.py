@@ -296,6 +296,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    if args.planes < 1:
+        raise ValueError(f"--planes must be at least 1, got {args.planes}")
     chart, target, name = _load_target(args)
     J = None
     if args.holomorphic:
@@ -403,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("betterment", help="dual-body recentering pipeline")
     _add_common(p)
     p.add_argument("--grid-m", type=int, default=None, dest="grid_m")
-    p.add_argument("--point", help="chart point 'x1,x2,...' (default: box center); "
-                   "write a negative first coordinate as --point=-0.1,0")
+    p.add_argument("--point", help="chart point 'x1,x2,...' (default: box center, where "
+                   "the tau of every magnetic entry vanishes); write a negative first "
+                   "coordinate as --point=-0.1,0")
     p.add_argument("--frame", action="store_true", help="compute in a g-orthonormal frame")
     p.add_argument("--samples-out", dest="samples_out", help="CSV path for recentred samples")
     p.set_defaults(fn=cmd_betterment)

@@ -6,6 +6,12 @@ with step ``h``), giving O(h^2) accuracy: at h = 1e-3 the constant-curvature
 certificates hold to about 1e-4.  Sectional curvature is used to certify the
 constant-curvature and constant-holomorphic-curvature properties of gallery
 metrics; no Ricci or scalar reductions are provided.
+
+Every operator here takes a batch of points ``(P, n)``: a sweep of P planes
+evaluates its whole stencil in ``(2n + 1)^2 + 1`` metric calls, whatever P
+is, and a single plane is the batch of one.  Every point of a batch is
+checked as a lone point would be: chart margin, positive-definiteness of g
+at each Christoffel point, and a non-degenerate plane.
 """
 
 from __future__ import annotations
@@ -41,10 +47,12 @@ class PlaneAtPoint:
 
 
 def christoffels(chart: ChartDomain, g: RiemannianField, x) -> np.ndarray:
-    """Levi-Civita symbols ``Gamma^k_ij`` at ``x`` (leading index k).
+    """Levi-Civita symbols ``Gamma^k_ij`` at points ``x`` of shape ``(..., n)``.
 
     ``Gamma^k_ij = g^{ka} (d_i g_aj + d_j g_ai - d_a g_ij) / 2`` with
-    centered differences; symmetric in (i, j) by construction.
+    centered differences, shape ``(..., k, i, j)``; symmetric in (i, j) by
+    construction.  A point where g is not positive-definite raises
+    :class:`IndefiniteMetricError` naming the first such point.
     """
     h = chart.fd_step
     chart.require_interior(x, margin=h)
@@ -54,7 +62,11 @@ def christoffels(chart: ChartDomain, g: RiemannianField, x) -> np.ndarray:
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise IndefiniteMetricError(f"metric is not positive-definite at {x}")
+        for point, matrix in zip(x.reshape(-1, n), G.reshape(-1, n, n)):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                raise IndefiniteMetricError(f"metric is not positive-definite at {point}")
     dg = _partials(g, x, n, h)       # (a, ..., i, j): d_a g_ij
     # lower symbols: (d_i g_aj + d_j g_ai - d_a g_ij) / 2
     low = 0.5 * (
@@ -66,14 +78,34 @@ def christoffels(chart: ChartDomain, g: RiemannianField, x) -> np.ndarray:
 
 
 def _riemann(chart: ChartDomain, g: RiemannianField, x: np.ndarray) -> np.ndarray:
-    """Rm[l, k, i, j] = component l of R(e_i, e_j) e_k at a single point."""
+    """Rm[..., l, k, i, j] = component l of R(e_i, e_j) e_k at points ``(..., n)``."""
     n = chart.dim
     Gam = christoffels(chart, g, x)
     dGam = _partials(lambda y: christoffels(chart, g, y), x, n, 2.0 * chart.fd_step)
     # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{ia} Gam^a_{jk} - Gam^l_{ja} Gam^a_{ik}
-    term = np.einsum("iljk->lkij", dGam) - np.einsum("jlik->lkij", dGam)
-    quad = np.einsum("lia,ajk->lkij", Gam, Gam) - np.einsum("lja,aik->lkij", Gam, Gam)
+    term = np.einsum("i...ljk->...lkij", dGam) - np.einsum("j...lik->...lkij", dGam)
+    quad = (np.einsum("...lia,...ajk->...lkij", Gam, Gam)
+            - np.einsum("...lja,...aik->...lkij", Gam, Gam))
     return term + quad
+
+
+def _sectional(chart: ChartDomain, g: RiemannianField, x: np.ndarray,
+               u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K(u, v) for planes given as rows of ``x``, ``u`` and ``v``, shape ``(P, n)``."""
+    chart.require_interior(x, margin=3.0 * chart.fd_step)
+    G = g(x)
+    uG = np.einsum("pi,pij->pj", u, G)
+    uu = np.einsum("pj,pj->p", uG, u)
+    uv = np.einsum("pj,pj->p", uG, v)
+    vv = np.einsum("pi,pij,pj->p", v, G, v)
+    gram = uu * vv - uv ** 2
+    collinear = gram < 1e-6 * uu * vv
+    if np.any(collinear):
+        raise DegeneratePlaneError(
+            f"plane vectors are numerically collinear at {x[np.argmax(collinear)]}")
+    Rm = _riemann(chart, g, x)
+    Ruvv = np.einsum("plkij,pi,pj,pk->pl", Rm, u, v, v)
+    return np.einsum("pl,pl->p", uG, Ruvv) / gram
 
 
 def sectional_curvature(chart: ChartDomain, g: RiemannianField, plane: PlaneAtPoint) -> float:
@@ -82,18 +114,7 @@ def sectional_curvature(chart: ChartDomain, g: RiemannianField, plane: PlaneAtPo
     Basis-invariant within ~1e-6 relative for well-conditioned planes;
     near-collinear vectors raise :class:`DegeneratePlaneError`.
     """
-    chart.require_interior(plane.x, margin=3.0 * chart.fd_step)
-    G = g(plane.x)
-    u, v = plane.u, plane.v
-    uu = u @ G @ u
-    vv = v @ G @ v
-    uv = u @ G @ v
-    gram = uu * vv - uv ** 2
-    if gram < 1e-6 * uu * vv:
-        raise DegeneratePlaneError("plane vectors are numerically collinear")
-    Rm = _riemann(chart, g, plane.x)
-    Ruvv = np.einsum("lkij,i,j,k->l", Rm, u, v, v)
-    return float((u @ G @ Ruvv) / gram)
+    return float(_sectional(chart, g, plane.x[None], plane.u[None], plane.v[None])[0])
 
 
 @dataclass(frozen=True)
@@ -124,14 +145,18 @@ def curvature_sweep(chart: ChartDomain, g: RiemannianField, count: int = 50,
     """Sample sectional curvature at ``count`` random planes and points.
 
     With ``complex_structure`` J the planes are J-invariant (v = J u), which
-    restricts the sweep to holomorphic sectional curvatures.
+    restricts the sweep to holomorphic sectional curvatures.  All planes are
+    drawn first and evaluated in one batch; ``count < 1`` raises
+    ``ValueError``, since an empty sweep has no mean.
     """
+    if count < 1:
+        raise ValueError(f"curvature sweep needs at least 1 plane, got {count}")
     margin = 3.0 * chart.fd_step + 0.02 * chart.edges.min()
     rng = np.random.default_rng(seed)
     n = chart.dim
     pts = rng.uniform(chart.lower + margin, chart.upper - margin, size=(count, n))
-    vals = np.empty(count)
-    for i, x in enumerate(pts):
+    us, vs = [], []
+    for _ in range(count):
         while True:
             u = rng.standard_normal(n)
             if complex_structure is not None:
@@ -141,5 +166,7 @@ def curvature_sweep(chart: ChartDomain, g: RiemannianField, count: int = 50,
             gram = (u @ u) * (v @ v) - (u @ v) ** 2
             if gram > 1e-3 * (u @ u) * (v @ v):
                 break
-        vals[i] = sectional_curvature(chart, g, PlaneAtPoint(x, u, v))
+        us.append(u)
+        vs.append(v)
+    vals = _sectional(chart, g, pts, np.array(us), np.array(vs))
     return CurvatureSweep(points=pts, values=vals, seeds=np.arange(count, dtype=float))

@@ -340,6 +340,12 @@ class TestOtherCommands:
         assert code == 0
         assert abs(report["checks"][0]["detail"]["mean"] - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("planes", ["0", "-3"])
+    def test_curvature_without_planes_exit_2(self, planes, capsys):
+        # an empty sweep reported a mean of "nan"; a negative one a numpy shape error
+        assert main(["curvature", "example-2.5-sphere", "--planes", planes]) == 2
+        assert f"--planes must be at least 1, got {planes}" in capsys.readouterr().err
+
     def test_invariant_forms(self, capsys):
         code = main(["invariant-forms", "--algebra", "u2", "--expect", "1"])
         report = json.loads(capsys.readouterr().out)
