@@ -148,11 +148,8 @@ def cmd_verify(args) -> int:
         for name, (measured, tol) in sorted(entry.certificates.items()):
             if name == "convexity_margin":
                 ok = measured > 0.0
-            elif name == "curvature_mean":
-                ok = (entry.curvature_target is None
-                      or abs(measured - entry.curvature_target) <= tol)
-            elif np.isnan(tol):
-                ok = True           # recorded value, nothing asserted
+            elif name.endswith("curvature_mean"):      # sectional or holomorphic
+                ok = abs(measured - entry.curvature_target) <= tol
             else:
                 ok = abs(measured) <= tol
             report.add(CheckRecord(f"certificate-{name}", digest, float(measured),

@@ -79,7 +79,7 @@ class GalleryEntry:
     c: float
     expected_dimension: int
     curvature_kind: str               # "constant-sectional" | "constant-holomorphic"
-    curvature_target: float | None
+    curvature_target: float           # the constant of that kind
     dtau: TwoFormField | None = None
     complex_structure: np.ndarray | None = None
     certificates: dict = field(default_factory=dict)
@@ -119,9 +119,9 @@ def _certified(name: str, row: _Metric, chart: ChartDomain, g: RiemannianField,
 
     The box shrinks (up to ``max_shrink`` times) until ``|tau|_g < 1`` on
     it; d(tau) is checked against ``dtau`` within ``dtau_tol`` (skipped when
-    None), and 16 curvature planes within ``curvature_tol``: J-invariant
-    ones for constant holomorphic curvature, whose value is recorded, not
-    pinned.  ``certs`` holds certificates the caller measured already.
+    None), and 16 curvature planes within ``curvature_tol`` of the row's
+    constant: J-invariant ones for constant holomorphic curvature.
+    ``certs`` holds certificates the caller measured already.
     """
     data = RandersData(g, tau)
     for attempt in range(max_shrink + 1):
@@ -136,19 +136,18 @@ def _certified(name: str, row: _Metric, chart: ChartDomain, g: RiemannianField,
     if dtau_tol is not None:
         certs["dtau_defect"] = (_certify_dtau(chart, tau, dtau, dtau_tol), dtau_tol)
 
-    holomorphic = row.curvature is None
     sweep = curvature_sweep(chart, g, count=16, seed=17,
-                            complex_structure=J if holomorphic else None)
+                            complex_structure=J if row.holomorphic else None)
     if sweep.std > curvature_tol:
         raise ConstructionError(
             f"curvature constancy certificate failed: std {sweep.std:g} > {curvature_tol:g}"
         )
-    if not holomorphic and abs(sweep.mean - row.curvature) > curvature_tol:
+    if abs(sweep.mean - row.curvature) > curvature_tol:
         raise ConstructionError(
             f"curvature value certificate failed: mean {sweep.mean:g} != {row.curvature:g}"
         )
-    prefix = "holomorphic_curvature" if holomorphic else "curvature"
-    certs[f"{prefix}_mean"] = (sweep.mean, float("nan") if holomorphic else curvature_tol)
+    prefix = "holomorphic_curvature" if row.holomorphic else "curvature"
+    certs[f"{prefix}_mean"] = (sweep.mean, curvature_tol)
     certs[f"{prefix}_std"] = (sweep.std, curvature_tol)
 
     raw = None if tau_text is None else {
@@ -161,7 +160,7 @@ def _certified(name: str, row: _Metric, chart: ChartDomain, g: RiemannianField,
     expected_dimension = row.isometries if c == 0.0 else {2: 3, 4: 8}[row.dim]
     return GalleryEntry(
         name=name, chart=chart, g=g, tau=tau, c=c, expected_dimension=expected_dimension,
-        curvature_kind="constant-holomorphic" if holomorphic else "constant-sectional",
+        curvature_kind="constant-holomorphic" if row.holomorphic else "constant-sectional",
         curvature_target=row.curvature, dtau=dtau, complex_structure=J,
         certificates=certs, raw=raw,
     )
@@ -217,10 +216,11 @@ class _Metric(NamedTuple):
     dim: int
     g: Callable[[int], RiemannianField]             # g on an n-dimensional chart
     spec: dict                                      # g as configuration
-    curvature: float | None                         # sectional; None: holomorphic, recorded
+    curvature: float                                # constant sectional (or holomorphic) curvature
     isometries: int                                 # dimension of g's isometry group
     amplitude: Callable[[np.ndarray], np.ndarray]   # A(r^2) at points x; a number if constant
     amplitude_text: str                             # A as expression text in {r2}
+    holomorphic: bool = False                       # curvature is holomorphic sectional
 
 
 _METRICS = {
@@ -234,8 +234,9 @@ _METRICS = {
                              lambda x: 2.0 / (1.0 - _r2(x)), "(2/(1 - {r2}))"),
     "flat-4d": _Metric(4, _flat, {"kind": "constant", "matrix": np.eye(4).tolist()}, 0.0, 10,
                        lambda x: 0.5, "0.5"),
-    "fubini-study": _Metric(4, _fubini_study, {"kind": "fubini-study"}, None, 8,
-                            lambda x: 0.5 / (1.0 + _r2(x)), "(0.5/(1 + {r2}))"),
+    # holomorphic curvature 4: the potential is normalised to g = I at the origin
+    "fubini-study": _Metric(4, _fubini_study, {"kind": "fubini-study"}, 4.0, 8,
+                            lambda x: 0.5 / (1.0 + _r2(x)), "(0.5/(1 + {r2}))", holomorphic=True),
 }
 
 
@@ -313,9 +314,9 @@ def make_fubini_study_4d(c: float, fd_step: float = 3e-4) -> GalleryEntry:
     g comes from the Fubini-Study potential on the affine chart, omega is
     the associated Kahler form g(J., .), and tau = c * (canonical primitive
     of omega).  Certificates: d(omega) = 0 within 1e-6, d(tau) = c * omega
-    within 1e-6, holomorphic-curvature constancy within 1e-3 (the measured
-    constant is recorded, not pinned).  Almost-Killing dimension 8 for every
-    c (the holomorphic isometries all preserve omega).
+    within 1e-6, and holomorphic curvature within 1e-3 of 4, its value for
+    the potential normalised to g = I at the origin.  Almost-Killing
+    dimension 8 for every c (the holomorphic isometries all preserve omega).
 
     The default ``fd_step`` is smaller than elsewhere so the residual-matrix
     noise floor stays below the 1e-7 rank threshold-stability band.
@@ -351,7 +352,7 @@ def make_randers_closed(g_kind: str, f: Callable[[np.ndarray], np.ndarray],
     entry carries no ``raw`` configuration, since ``f`` is Python code.
     """
     # the family's bases are those of constant sectional curvature
-    kinds = sorted(k for k, row in _METRICS.items() if row.curvature is not None)
+    kinds = sorted(k for k, row in _METRICS.items() if not row.holomorphic)
     if g_kind not in kinds:
         raise ValueError(f"g_kind must be one of {kinds}")
     n = _METRICS[g_kind].dim

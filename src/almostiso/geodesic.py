@@ -1,16 +1,22 @@
 """Nonsymmetric Finsler distance and the triangular function.
 
-Distances are computed by direct minimization of the discrete path length
+The distance from p to q is the length ``L(P) = sum_i F(mid_i, step_i)``
+of the k-segment polyline P from p to q (midpoint rule; segment i runs
+from vertex i to vertex i + 1) that minimises the discrete energy
 
-    L(P) = sum_i F(midpoint_i, step_i)
+    E(P) = k sum_i F(mid_i, step_i)^2
 
-over the interior vertices of a polyline, starting from the straight
-segment, using coordinate-wise descent with a backtracking/parabolic line
-search.  Odd and even interior vertices touch disjoint segment pairs, so
-each half-sweep updates its vertices simultaneously; many independent
-distance problems are batched through one solver call.  The order of the
-segment sum makes the length direction-dependent, which is the point: for
-nonreversible norms d(p, q) != d(q, p).
+over its interior vertices: Milnor's broken-geodesic energy (J. Milnor,
+*Morse Theory*, 1963, section 16).  By Cauchy-Schwarz L^2 <= E, with
+equality exactly when all segments have the same F-length, so a minimiser
+is a constant-speed polyline: unlike the length, the energy gains nothing
+from collapsing vertices, and its Hessian is nondegenerate and block
+tridiagonal.  Each problem starts from the straight segment and takes
+Levenberg-Marquardt-damped Newton steps (J. Nocedal and S. Wright,
+*Numerical Optimization*, 2nd ed., 2006, ch. 4 and 10) with derivatives
+differenced from batched ``F`` calls, so any :class:`MetricField` works.
+The order of the segment sum makes the length direction-dependent, which
+is the point: for nonreversible norms d(p, q) != d(q, p).
 
 The triangular function
 
@@ -19,20 +25,15 @@ The triangular function
 is invariant under maps that merely shift curve lengths by boundary terms
 (F -> F + df), which is what the invariance checks in this module detect.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .chart import ChartDomain, OneFormField, _partials, exterior_derivative
-from .errors import (
-    DegenerateInputError,
-    DomainEscapeError,
-    InvalidMapError,
-)
+from .errors import DegenerateInputError, DomainEscapeError, InvalidMapError
 from .duality import DirectionGrid
 from .metric import MetricField
 
@@ -50,143 +51,154 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Batched polyline minimizer
+# Batched polyline energy minimizer
 # ---------------------------------------------------------------------------
 
-def _batch_lengths(F: MetricField, P: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (P[:, 1:] + P[:, :-1])
-    delta = P[:, 1:] - P[:, :-1]
-    return F(mid, delta).sum(axis=1)
+# Why a problem left the batch: relative energy gain <= 1e-14, predicted
+# decrease at rounding level, damping at its cap, or ``iters`` steps done.
+_GAIN, _PREDICTED, _DAMPING, _STEPS = range(4)
+_MAX_ROWS = 2 ** 14          # F rows per call in a solve, which bounds its memory
 
 
-def _local_lengths(F: MetricField, a, c, *trials) -> list[np.ndarray]:
-    """``F(a -> t) + F(t -> c)`` for each trial vertex set ``t``, in one call.
+class _PathSolve(NamedTuple):
+    """Minimisers and per-problem outcome of one :func:`_solve_paths` call."""
 
-    The trials and both half-segments are concatenated along the vertex
-    axis, so ``F`` gets ``(B, rows, n)`` arrays and each row's value is the
-    one a separate call would give.
+    paths: np.ndarray       # (B, k + 1, n)
+    lengths: np.ndarray     # L at the minimiser
+    straight: np.ndarray    # L of the straight path
+    stop: np.ndarray        # _GAIN, _PREDICTED, _DAMPING or _STEPS
+    steps: np.ndarray       # Newton steps tried
+    pinned: np.ndarray      # interior vertices on the chart box
+
+
+def _segment_lengths(F: MetricField, P: np.ndarray) -> np.ndarray:
+    """``F(mid_i, step_i)`` for every segment of paths ``P``, shape ``(B, k)``."""
+    return F(0.5 * (P[:, 1:] + P[:, :-1]), P[:, 1:] - P[:, :-1])
+
+
+def _energy_derivatives(F: MetricField, P, f, h):
+    """Gradient ``(B, N)`` and Hessian ``(B, N, N)`` of ``E`` in the interior coordinates.
+
+    Each segment's ``F^2`` is differenced in its ``m = 2n`` endpoint
+    coordinates, step ``h`` per problem, by the central stencil with
+    two-point off-diagonals: one ``F`` call of ``m^2 + m`` rows per segment,
+    with ``f`` the segment values at offset 0.  A segment couples only its
+    two vertices, so the ``N = (k - 1) n`` Hessian is block tridiagonal.
     """
-    m, j = a.shape[1], len(trials)
-    t = np.concatenate(trials, axis=1)
-    at = np.concatenate([a] * j, axis=1)
-    ct = np.concatenate([c] * j, axis=1)
-    f = F(np.concatenate([0.5 * (at + t), 0.5 * (t + ct)], axis=1),
-          np.concatenate([t - at, ct - t], axis=1))
-    vals = f[:, :m * j] + f[:, m * j:]
-    return [vals[:, i * m:(i + 1) * m] for i in range(j)]
+    (B, k), n = f.shape, P.shape[-1]
+    m = 2 * n
+    i, j = np.triu_indices(m, 1)
+    eye = np.eye(m)
+    O = np.concatenate([eye, -eye, eye[i] + eye[j], -eye[i] - eye[j]])     # in (a, b)
+    hh = h[:, None, None, None]
+    mid = (0.5 * (P[:, 1:] + P[:, :-1]))[:, :, None] + hh * (0.5 * (O[:, :n] + O[:, n:]))
+    step = (P[:, 1:] - P[:, :-1])[:, :, None] + hh * (O[:, n:] - O[:, :n])
+    v = F(mid.reshape(B, -1, n), step.reshape(B, -1, n)).reshape(B, k, -1) ** 2
+    v0, h = f[..., None] ** 2, h[:, None, None]
+    plus, minus, pp, mm = np.split(v, [m, 2 * m, 2 * m + len(i)], axis=-1)
+    hess = np.empty((B, k, m, m))
+    hess[..., range(m), range(m)] = (plus + minus - 2.0 * v0) / h ** 2
+    hess[..., i, j] = hess[..., j, i] = (pp + mm - plus[..., i] - minus[..., i] - plus[..., j]
+                                         - minus[..., j] + 2.0 * v0) / (2.0 * h ** 2)
+    grad = (plus - minus) / (2.0 * h)
+    # interior vertex v ends segment v - 1 and starts segment v
+    g = grad[:, :-1, n:] + grad[:, 1:, :n]
+    idx = np.arange(k - 1)
+    H = np.zeros((B, k - 1, k - 1, n, n))
+    H[:, idx, idx] = hess[:, :-1, n:, n:] + hess[:, 1:, :n, :n]
+    H[:, idx[:-1], idx[1:]] = hess[:, 1:-1, :n, n:]
+    H[:, idx[1:], idx[:-1]] = hess[:, 1:-1, n:, :n]
+    N = (k - 1) * n
+    return k * g.reshape(B, N), k * H.transpose(0, 1, 3, 2, 4).reshape(B, N, N)
 
 
-def _minimize_paths(F: MetricField, P: np.ndarray, lower, upper, iters: int) -> None:
-    """Coordinate descent over interior vertices of paths ``P`` (in place).
+def _newton(F: MetricField, P, box, iters: int):
+    """Damped Newton on the energy of paths ``P``, moving their interior vertices in place.
 
-    Each accepted move strictly decreases its path's length, and moves are
-    confined to the box, so the final lengths never exceed the initial
-    (straight-line) ones.  An axis step makes two ``F`` calls: one for the
-    ``+s``/``-s`` trials, together with the current point on a colour's
-    first axis (later axes carry the accepted value forward), and one for
-    the parabolic trial.
+    The damping ``lam * mean|diag H|`` starts at ``lam = 1e-3`` and is
+    divided by 10 on an accepted step and multiplied by 10 on a rejected one,
+    which reuses the derivatives.  Every trial is projected onto ``box``,
+    and a coordinate on the box that the gradient pushes outwards is held
+    there for the step (projected Newton), so a box-constrained problem
+    still converges fast.  Returns the segment values at the minimiser and
+    at the straight path, and each problem's stop code and step count.
     """
-    B, kp1, n = P.shape
-    k = kp1 - 1
-    if k < 2:
-        return
-    colors = [np.arange(1, k, 2), np.arange(2, k, 2)]
-    seg_scale = np.linalg.norm(P[:, -1] - P[:, 0], axis=1) / k
-    # independent line-search memory per vertex AND axis: a converged axis
-    # must not starve the other axes of step length
-    step = np.tile((0.25 * seg_scale)[:, None, None], (1, k - 1, n))
-    step_floor = 1e-12 * seg_scale.max()
-
+    B, k, n = P.shape[0], P.shape[1] - 1, P.shape[2]
+    N = (k - 1) * n
+    lo, hi = (np.broadcast_to(bound, (k - 1, n)).reshape(N) for bound in box)
+    f = _segment_lengths(F, P)
+    straight = f.sum(axis=1)
+    E = k * (f ** 2).sum(axis=1)
+    h = 1e-4 * np.linalg.norm(P[:, -1] - P[:, 0], axis=1) / k
+    lam = np.full(B, 1e-3)
+    stop, steps = np.full(B, _STEPS if k > 1 else _PREDICTED), np.zeros(B, dtype=int)
+    g, H = np.zeros((B, N)), np.zeros((B, N, N))
+    active = stale = np.arange(B if k > 1 else 0)     # stale: derivatives out of date
     for _ in range(iters):
-        sweep_gain = 0.0
-        for idx in colors:
-            if len(idx) == 0:
-                continue
-            a = P[:, idx - 1]
-            c = P[:, idx + 1]
-            b = P[:, idx]
-            base = None
-            for ax in range(n):
-                s = step[:, idx - 1, ax]
-                bp = b.copy()
-                bp[:, :, ax] = np.clip(bp[:, :, ax] + s, lower[ax], upper[ax])
-                bm = b.copy()
-                bm[:, :, ax] = np.clip(bm[:, :, ax] - s, lower[ax], upper[ax])
-                if base is None:
-                    base, fp, fm = _local_lengths(F, a, c, b, bp, bm)
-                else:
-                    fp, fm = _local_lengths(F, a, c, bp, bm)
-                curv = fp - 2.0 * base + fm
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    delta = np.where(
-                        curv > 1e-300,
-                        0.5 * s * (fm - fp) / curv,
-                        np.where(fp < fm, s, -s),
-                    )
-                delta = np.clip(delta, -4.0 * s, 4.0 * s)
-                bt = b.copy()
-                bt[:, :, ax] = np.clip(bt[:, :, ax] + delta, lower[ax], upper[ax])
-                ft, = _local_lengths(F, a, c, bt)
-
-                # first minimum of (ft, fp, fm)
-                take_t = (ft <= fp) & (ft <= fm)
-                take_p = ~take_t & (fp <= fm)
-                vbest = np.where(take_t, ft, np.where(take_p, fp, fm))
-                pbest = np.where(take_t, bt[:, :, ax],
-                                 np.where(take_p, bp[:, :, ax], bm[:, :, ax]))
-                improve = vbest < base
-                b[:, :, ax] = np.where(improve, pbest, b[:, :, ax])
-                step[:, idx - 1, ax] = np.maximum(
-                    np.where(improve, s * 1.3, s * 0.5), step_floor)
-                sweep_gain += float(np.where(improve, base - vbest, 0.0).sum())
-                base = np.where(improve, vbest, base)
-            P[:, idx] = b
-        if sweep_gain < 1e-13 * B:
+        if not len(active):
             break
+        if len(stale):
+            g[stale], H[stale] = _energy_derivatives(F, P[stale], f[stale], h[stale])
+        ga, Ha = g[active], H[active]
+        X = P[active, 1:-1].reshape(-1, N)
+        free = ~(((X <= lo) & (ga > 0)) | ((X >= hi) & (ga < 0)))
+        mu = lam[active] * np.abs(np.diagonal(Ha, axis1=1, axis2=2)).mean(axis=1)
+        A = (Ha * (free[:, :, None] & free[:, None, :])
+             + (mu[:, None, None] + ~free[:, :, None]) * np.eye(N))
+        s = np.linalg.solve(A, -(ga * free)[..., None])[..., 0]
+        flat = -0.5 * (ga * s).sum(axis=1) <= 1e-15 * E[active]
+        stop[active[flat]] = _PREDICTED
+        active, s = active[~flat], s[~flat]
+        if not len(active):
+            break
+        steps[active] += 1
+        trial = P[active]
+        trial[:, 1:-1] = np.clip(trial[:, 1:-1] + s.reshape(trial[:, 1:-1].shape), *box)
+        ft = _segment_lengths(F, trial)
+        Et = k * (ft ** 2).sum(axis=1)
+        ok = Et < E[active]
+        converged = ok & (E[active] - Et <= 1e-14 * E[active])
+        acc = active[ok]
+        P[acc], f[acc], E[acc] = trial[ok], ft[ok], Et[ok]
+        lam[active] = np.where(ok, np.maximum(lam[active] / 10.0, 1e-12), 10.0 * lam[active])
+        capped = lam[active] > 1e6
+        stop[active[converged]] = _GAIN
+        stop[active[capped]] = _DAMPING
+        stale = active[ok & ~converged]
+        active = active[~converged & ~capped]
+    return f, straight, stop, steps
 
 
-def _straight_paths(starts: np.ndarray, ends: np.ndarray, k: int) -> np.ndarray:
+def _solve_paths(F: MetricField, starts, ends, k: int, iters: int) -> _PathSolve:
+    """Energy-minimising ``k``-segment polylines for every (start, end) pair.
+
+    The problems go through :func:`_newton` in chunks, so that no ``F``
+    call passes more than ``_MAX_ROWS`` rows unless one problem's stencil
+    alone does.
+    """
+    chart = F.chart
+    box = (chart.lower, chart.upper) if chart is not None else (-np.inf, np.inf)
     t = np.linspace(0.0, 1.0, k + 1)[None, :, None]
-    return (1.0 - t) * starts[:, None, :] + t * ends[:, None, :]
-
-
-def _resample_paths(P: np.ndarray, k_new: int) -> np.ndarray:
-    """Resample each polyline at chord-length-uniform parameters."""
-    B, _, n = P.shape
-    out = np.empty((B, k_new + 1, n))
-    t_new = np.linspace(0.0, 1.0, k_new + 1)
-    for b in range(B):
-        chord = np.linalg.norm(P[b, 1:] - P[b, :-1], axis=1)
-        t = np.concatenate([[0.0], np.cumsum(chord)])
-        t /= t[-1] if t[-1] > 0 else 1.0
-        for ax in range(n):
-            out[b, :, ax] = np.interp(t_new, t, P[b, :, ax])
-    out[:, 0] = P[:, 0]
-    out[:, -1] = P[:, -1]
-    return out
+    P = (1.0 - t) * starts[:, None, :] + t * ends[:, None, :]
+    m = 2 * P.shape[-1]
+    size = max(1, _MAX_ROWS // (k * (m * m + m)))
+    parts = [_newton(F, P[i:i + size], box, iters) for i in range(0, len(P), size)]
+    f, straight, stop, steps = (np.concatenate(x) for x in zip(*parts))
+    inner = P[:, 1:-1]
+    pinned = ((inner == box[0]) | (inner == box[1])).any(axis=-1).sum(axis=1)
+    return _PathSolve(P, f.sum(axis=1), straight, stop, steps, pinned)
 
 
 def distance_batch(F: MetricField, starts, ends, k: int = 16, iters: int = 400) -> np.ndarray:
     """Minimized path lengths for many (start, end) pairs at once.
 
-    The descent runs coarse-to-fine: the straight segment is first relaxed
-    on a short polyline, which resolves the long-wavelength shape of the
-    geodesic, then refined and relaxed again up to ``k`` segments (plain
-    coordinate sweeps alone stall on smooth low-frequency modes for large
-    ``k``).  The returned value never exceeds the straight-line length.
-
-    Only the finest level gets ``iters`` sweeps; every coarser level gets
-    ``max(1, iters // 8)``, and each level also stops once a sweep gains
-    less than ``1e-13`` per problem.  A coarse level's shape only seeds the
-    next resample, and run to the full budget it drifts instead of
-    converging: on a Poincare-disk chord with a df drift the ``k = 4``
-    level's gain per sweep rose from 3.5e-7 at sweep 20 to 1.7e-5 at sweep
-    400 while its length fell from 1.6e-3 to 4.6e-3 below the exact
-    distance, exploiting the midpoint rule with detail the resample
-    discards, so no gain-based stop would fire there.
+    Each pair's ``k``-segment polyline minimises the discrete energy
+    ``k sum_i F(mid_i, step_i)^2`` by at most ``iters`` damped Newton
+    steps from the straight segment; the returned value is its length
+    ``sum_i F(mid_i, step_i)``, never more than the straight-line length.
 
     ``k < 1`` or ``iters < 0`` raises ``ValueError``: with no segment every
-    distance would read 0, and a negative budget would skip every sweep.
+    distance would read 0, and a negative budget would skip every step.
     """
     if k < 1 or iters < 0:
         raise ValueError("distance solve needs segments >= 1 and iters >= 0, "
@@ -198,22 +210,8 @@ def distance_batch(F: MetricField, starts, ends, k: int = 16, iters: int = 400) 
     if F.chart is not None:
         F.chart.require_interior(starts)
         F.chart.require_interior(ends)
-        lower, upper = F.chart.lower, F.chart.upper
-    else:
-        lower = np.full(F.dim, -np.inf)
-        upper = np.full(F.dim, np.inf)
-    levels = [k]
-    while levels[-1] > 4:
-        levels.append((levels[-1] + 1) // 2)
-    levels.reverse()
-    P = _straight_paths(starts, ends, levels[0])
-    for i, level in enumerate(levels):
-        if i:
-            P = _resample_paths(P, level)
-        budget = iters if i == len(levels) - 1 else max(1, iters // 8)
-        _minimize_paths(F, P, lower, upper, budget)
-    straight = _batch_lengths(F, _straight_paths(starts, ends, k))
-    return np.minimum(_batch_lengths(F, P), straight)
+    res = _solve_paths(F, starts, ends, k, iters)
+    return np.minimum(res.lengths, res.straight)
 
 
 def distance(F: MetricField, p, q, k: int = 16, iters: int = 400) -> float:

@@ -191,6 +191,25 @@ class TestVerifyCommand:
         assert d1["measured"] == d2["measured"]
         assert r1["pass"] and r2["pass"]
 
+    @pytest.mark.parametrize("target, code", [(4.0, 0), (4.1, 1)])
+    def test_fubini_study_holomorphic_curvature_pinned(self, target, code, tmp_path, monkeypatch):
+        # the holomorphic mean is held to the entry's constant, as sectional
+        # means are; a wrong constant fails that row and the run
+        import dataclasses
+
+        from almostiso import cli
+
+        build = cli.build_gallery_entry
+        monkeypatch.setattr(cli, "build_gallery_entry", lambda name, c=None: dataclasses.replace(
+            build(name, c), curvature_target=target))
+        out = tmp_path / "report.json"
+        assert main(["verify", "fubini-study", "--out", str(out)]) == code
+        checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+        row = checks.pop("certificate-holomorphic_curvature_mean")
+        assert row["tolerance"] == 1e-3
+        assert row["pass"] is (code == 0)
+        assert all(c["pass"] for c in checks.values())
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "example-2.5", "--c", "0.4", "--seed", "3", "--out", str(out1)])

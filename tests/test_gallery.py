@@ -14,7 +14,7 @@ from almostiso import (
     make_fubini_study_4d,
 )
 from almostiso.duality import betterment_covector
-from almostiso.errors import ConvexityError
+from almostiso.errors import ConstructionError, ConvexityError
 from almostiso.gallery import _METRICS, _fs_metric_components
 from almostiso.symmetry import standard_complex_structure
 
@@ -102,6 +102,15 @@ class TestFubiniStudy:
         assert certs["domega_defect"][0] < 1e-6
         assert certs["dtau_defect"][0] < 1e-6
         assert certs["holomorphic_curvature_std"][0] < 1e-3
+        mean, tol = certs["holomorphic_curvature_mean"]
+        assert tol == 1e-3 and abs(mean - 4.0) <= tol
+        assert fubini_study.curvature_target == 4.0
+
+    def test_wrong_holomorphic_constant_rejected(self, monkeypatch):
+        row = _METRICS["fubini-study"]
+        monkeypatch.setitem(_METRICS, "fubini-study", row._replace(curvature=4.1))
+        with pytest.raises(ConstructionError, match="curvature value"):
+            make_fubini_study_4d(0.1)
 
     def test_metric_identity_at_origin(self, fubini_study):
         G = fubini_study.g(np.zeros(4))

@@ -20,6 +20,7 @@ from almostiso import (
     t_invariance_check,
     triangular_batch,
 )
+from almostiso import almost_killing_dimension, build_gallery_entry, geodesic
 from almostiso.errors import BoundaryError, DegenerateInputError, DomainEscapeError
 
 BIG = ChartDomain([[-4.0, 4.0], [-4.0, 4.0]], fd_step=1e-3)
@@ -101,24 +102,54 @@ class TestDistance:
             distance_batch(F, np.array([[0.0, 0.0]]), np.array([[0.2, 0.0]]), k=k, iters=iters)
 
     def test_batch_matches_single(self):
-        # agreement to solver tolerance: stopping is shared across a batch,
-        # so batched and one-at-a-time runs are not bitwise identical
+        # every problem takes its own steps and stops by itself, and each F
+        # row is evaluated alone, so a batch only changes how rows are grouped
         F = rotational_randers(0.4)
         starts = np.array([[0.0, 0.0], [-0.2, 0.1]])
         ends = np.array([[0.2, 0.0], [0.25, -0.2]])
         batch = distance_batch(F, starts, ends, k=16, iters=400)
         singles = [distance(F, s, e, k=16, iters=400) for s, e in zip(starts, ends)]
-        np.testing.assert_allclose(batch, singles, atol=1e-6)
+        np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
+
+
+def chord(u, edge):
+    """The chord along unit ``u`` from -0.2 to 0.3 edge, 0.15 edge off the centre."""
+    off = 0.15 * edge * np.array([-u[1], u[0]])
+    return off - 0.2 * edge * u, off + 0.3 * edge * u
 
 
 def chords(edge, count=6):
     """Chords of length 0.5 edge at ``count`` angles, off the chart centre."""
+    return np.array([chord(np.array([np.cos(a), np.sin(a)]), edge)
+                     for a in np.linspace(0.0, np.pi, count, endpoint=False)])
+
+
+def disk_plus_df():
+    """The Poincare disk with tau = df, f = 0.15 |x|^2, and its exact distance."""
+    f = lambda x: 0.15 * (x ** 2).sum(axis=-1)
+    entry = make_randers_closed("hyperbolic-2d", f, grad_f=lambda x: 0.3 * x)
+
+    def exact(p, q):
+        r = ((q - p) ** 2).sum(-1) / ((1 - (p ** 2).sum(-1)) * (1 - (q ** 2).sum(-1)))
+        return 2 * np.arcsinh(np.sqrt(r)) + f(q) - f(p)
+
+    return entry.metric(), exact
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The outcome of every ``geodesic._solve_paths`` call the test makes."""
     out = []
-    for ang in np.linspace(0.0, np.pi, count, endpoint=False):
-        u = np.array([np.cos(ang), np.sin(ang)])
-        off = 0.15 * edge * np.array([-u[1], u[0]])
-        out.append((off - 0.2 * edge * u, off + 0.3 * edge * u))
-    return np.array(out)
+    solve = geodesic._solve_paths
+    monkeypatch.setattr(geodesic, "_solve_paths", lambda *a: out.append(solve(*a)) or out[-1])
+    return out
+
+
+def assert_converged(solves):
+    """Every problem stopped on its energy gain or predicted decrease, off the box."""
+    stop = np.concatenate([s.stop for s in solves])
+    assert len(stop) and np.isin(stop, [geodesic._GAIN, geodesic._PREDICTED]).all(), stop
+    assert all(not s.pinned.any() for s in solves)
 
 
 def assert_oracle(F, pairs, exact, k=16):
@@ -132,7 +163,7 @@ def assert_oracle(F, pairs, exact, k=16):
 
 
 class TestClosedFormOracles:
-    def test_magnetic_arcs(self, flat_25):
+    def test_magnetic_arcs(self, flat_25, solves):
         # tau = (c/2)(x1 dx2 - x2 dx1): minimisers are arcs of curvature c
         c = 0.4
 
@@ -143,22 +174,19 @@ class TestClosedFormOracles:
                     + 2 * a / c - (a - np.sin(a) * np.cos(a)) / c)
 
         assert_oracle(flat_25.metric(), chords(flat_25.chart.edges.min()), exact)
+        assert_converged(solves)
 
-    def test_poincare_disk_plus_df(self):
-        f = lambda x: 0.15 * (x ** 2).sum(axis=-1)
-        entry = make_randers_closed("hyperbolic-2d", f, grad_f=lambda x: 0.3 * x)
-
-        def exact(p, q):
-            r = ((q - p) ** 2).sum(-1) / ((1 - (p ** 2).sum(-1)) * (1 - (q ** 2).sum(-1)))
-            return 2 * np.arcsinh(np.sqrt(r)) + f(q) - f(p)
-
-        assert_oracle(entry.metric(), chords(entry.chart.edges.min()), exact)
+    def test_poincare_disk_plus_df(self, solves):
+        F, exact = disk_plus_df()
+        assert_oracle(F, chords(F.chart.edges.min()), exact)
+        assert_converged(solves)
 
 
 def test_single_solve_f_call_budget():
-    # two F calls per axis step; coarse levels get iters // 8 sweeps
-    f = lambda x: 0.15 * (x ** 2).sum(axis=-1)
-    F = make_randers_closed("hyperbolic-2d", f, grad_f=lambda x: 0.3 * x).metric()
+    # a Newton step makes at most one derivative call and one trial call,
+    # and the straight path one more, so a solve makes at most 2 iters + 1
+    # calls: far below this bound, which coordinate descent was held to
+    F, _ = disk_plus_df()
     calls = []
 
     def counting(x, y):
@@ -171,6 +199,88 @@ def test_single_solve_f_call_budget():
     assert d == distance(F, p, q, k=16, iters=400)
     n, iters = 2, 400
     assert len(calls) <= 4 * n * (iters + 2 * (iters // 8)) + 4
+
+
+def bench_chord():
+    """The distance benchmark's disk+df chord: ``u`` is the first draw of default_rng(0)."""
+    u = np.random.default_rng(0).standard_normal(2)
+    return chord(u / np.linalg.norm(u), 1.0)
+
+
+class TestEnergyMinimiser:
+    """Damped Newton on E = k sum F^2, whose minimisers have constant speed."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
+    def test_no_collapsed_segments(self, reverse):
+        # the midpoint-rule length's minimiser on this chord collapses
+        # vertices (longest / shortest segment 9.2e5); the energy's does not
+        F, _ = disk_plus_df()
+        p, q = bench_chord()[::-1] if reverse else bench_chord()
+        res = geodesic._solve_paths(F, p[None], q[None], 16, 400)
+        seg = np.linalg.norm(np.diff(res.paths[0], axis=0), axis=1)
+        assert seg.max() / seg.min() < 2.0
+
+    def test_error_independent_of_orientation(self):
+        # the metric is rotation invariant, so every rotated chord poses the
+        # same problem; coordinate descent's error spread 9e-5 to 8.7e-4
+        F, exact = disk_plus_df()
+        p, q = bench_chord()
+        rot = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+               for a in np.linspace(0.0, 2 * np.pi, 12, endpoint=False)]
+        ps, qs = np.array([R @ p for R in rot]), np.array([R @ q for R in rot])
+        for starts, ends in ((ps, qs), (qs, ps)):
+            ref = exact(starts, ends)
+            rel = (distance_batch(F, starts, ends) - ref) / ref
+            assert np.ptp(rel) <= 1e-6, rel
+
+    def test_cross_validation_batch_converges(self, solves):
+        # verify's flow cross-validation on example-2.5-hyperbolic, at its seed
+        entry = build_gallery_entry("example-2.5-hyperbolic")
+        rep = almost_killing_dimension(entry.chart, entry.g, entry.tau, dtau=entry.dtau, seed=101)
+        assert len(solves) == 1
+        assert_converged(solves)
+        assert rep.max_t_deviation <= 1e-5
+
+    def test_disk_solve_f_calls(self):
+        F, _ = disk_plus_df()
+        calls = []
+        G = MetricField(lambda x, y: calls.append(1) or F(x, y), dim=2, chart=F.chart)
+        distance(G, *bench_chord())
+        assert len(calls) <= 100
+
+    def test_rows_per_f_call_bounded(self, kahler_3, solves):
+        # 330 problems, as many as example-3-c0's cross-validation solves;
+        # the row bound is what keeps a verify's peak memory flat
+        F = kahler_3.metric()
+        rows = []
+        G = MetricField(lambda x, y: rows.append(x.size // 4) or F(x, y), dim=4, chart=F.chart)
+        starts = kahler_3.chart.sample_points(330, seed=1, margin=0.1)
+        ends = kahler_3.chart.sample_points(330, seed=2, margin=0.1)
+        distance_batch(G, starts, ends)
+        assert max(rows) <= 2 ** 15
+        assert_converged(solves)
+
+    def test_box_pins_counted(self):
+        # the magnetic arc from p to q bulges past the top edge of BOX; its
+        # vertices are held on the edge and counted, and the solve converges
+        F = rotational_randers(0.4)
+        p, q = np.array([-0.4, 0.495]), np.array([0.4, 0.495])
+        res = geodesic._solve_paths(F, np.array([p, q]), np.array([q, p]), 16, 400)
+        assert res.pinned[0] > 0 and res.pinned[1] == 0
+        assert res.paths[0, :, 1].max() == BOX.upper[1]
+        assert np.isin(res.stop, [geodesic._GAIN, geodesic._PREDICTED]).all()
+        assert res.steps.max() <= 10
+        assert np.all(res.lengths < res.straight)
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    def test_iters_caps_newton_steps(self, iters):
+        F, _ = disk_plus_df()
+        p, q = bench_chord()
+        res = geodesic._solve_paths(F, p[None], q[None], 16, iters)
+        assert res.steps[0] == iters
+        assert res.stop[0] == geodesic._STEPS
+        if iters == 0:
+            assert res.lengths[0] == res.straight[0]
 
 
 def test_constant_metric_components_not_evaluated_by_solver(kahler_3):
