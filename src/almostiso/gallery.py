@@ -189,10 +189,15 @@ def _fs_metric_components(x: np.ndarray) -> np.ndarray:
     ``((1 + r^2) I - x x^T - Jx (Jx)^T) / (1 + r^2)^2`` with ``J`` the
     standard complex structure; the identity at the chart origin.
     """
-    s = 1.0 + _r2(x)[..., None, None]
+    s = 1.0 + _r2(x)
     jx = x @ _FS_J.T
-    out = s * np.eye(4) - x[..., :, None] * x[..., None, :] - jx[..., :, None] * jx[..., None, :]
-    return out / (s * s)
+    # in place, in the order of the formula; einsum forms the outer products
+    # without the ufunc buffers a broadcast product allocates
+    out = np.einsum("...,ij->...ij", s, np.eye(4))
+    out -= np.einsum("...i,...j->...ij", x, x)
+    out -= np.einsum("...i,...j->...ij", jx, jx)
+    out /= (s * s)[..., None, None]
+    return out
 
 
 def _flat(n: int) -> RiemannianField:

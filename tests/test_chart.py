@@ -158,6 +158,16 @@ class TestFlowMap:
         assert err.value.exit_time is not None
         assert 0.4 < err.value.exit_time < 0.6
 
+    def test_stacked_escape_reports_earliest_exit(self):
+        # slice 0 leaves the box at t = 0.7, slice 1 at t = 0.2: the error
+        # carries the earlier exit, not the first slice's
+        K = VectorField.constant([1.0, 0.0])
+        start = np.array([[[-0.2, 0.0], [-0.3, 0.1]],
+                          [[0.0, 0.2], [0.3, -0.1]]])
+        with pytest.raises(DomainEscapeError) as err:
+            flow_map(CHART, K, 2.0, start, n_steps=64)
+        assert 0.2 < err.value.exit_time <= 0.2 + 2.0 / 64
+
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             flow_map(CHART, ROTATION, 0.1, np.array([0.1, 0.1]), n_steps=8)

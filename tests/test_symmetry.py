@@ -20,8 +20,11 @@ from almostiso import (
     standard_complex_structure,
     u2_generators,
 )
-from almostiso.chart import _partials
+from almostiso import symmetry
+from almostiso.chart import _partials, flow_point_map
 from almostiso.errors import UnderdeterminedSystemError
+from almostiso.gallery import build_gallery_entry
+from almostiso.geodesic import seeded_triples
 from almostiso.symmetry import _monomial_values
 
 CHART2 = ChartDomain([[-0.5, 0.5], [-0.5, 0.5]], fd_step=1e-3)
@@ -331,3 +334,61 @@ class TestAlmostKillingPipeline:
             vec = vec / np.linalg.norm(vec)
             residual = np.linalg.norm(vec - B.T @ (B @ vec))
             assert residual < 1e-4
+
+
+@pytest.fixture(scope="module")
+def gallery_bases():
+    """``(entry, almost-Killing basis)`` of example-2.5 and example-3."""
+    out = {}
+    for name in ("example-2.5", "example-3"):
+        entry = build_gallery_entry(name)
+        rep = almost_killing_dimension(entry.chart, entry.g, entry.tau, dtau=entry.dtau,
+                                       cross_validate=False)
+        out[name] = entry, rep.basis
+    return out
+
+
+def cross_validation_inputs(monkeypatch, entry, basis):
+    """The triples ``flow_cross_validation`` hands to ``triangular_batch``, and
+    the number of ``flow_map`` calls it made; the solves themselves are stubbed."""
+    seen = {"flow_map": 0}
+    flow_map = symmetry.flow_map
+
+    def counting_flow_map(*args, **kwargs):
+        seen["flow_map"] += 1
+        return flow_map(*args, **kwargs)
+
+    def capture(F, stacked, **kwargs):
+        seen["stacked"] = stacked
+        return np.zeros(len(stacked))
+
+    monkeypatch.setattr(symmetry, "flow_map", counting_flow_map)
+    monkeypatch.setattr(symmetry, "triangular_batch", capture)
+    symmetry.flow_cross_validation(entry.chart, entry.g, entry.tau, basis)
+    return seen["stacked"], seen["flow_map"]
+
+
+class TestBatchedFlowCrossValidation:
+    @pytest.mark.parametrize("name", ["example-2.5", "example-3"])
+    def test_images_equal_per_field_flows(self, monkeypatch, gallery_bases, name):
+        entry, basis = gallery_bases[name]
+        chart = entry.chart
+        stacked, _ = cross_validation_inputs(monkeypatch, entry, basis)
+        # reference: each normalised field flowed on its own
+        ansatz = VectorFieldAnsatz(chart.dim, 2)
+        mesh = chart.mesh_points(3)
+        triples = seeded_triples(chart, 10, seed=102, margin=0.35 * chart.edges.min())
+        flat = triples.reshape(-1, chart.dim)
+        images = [triples]
+        for coeffs in basis:
+            K = ansatz.field(coeffs / ansatz.sup_norm(coeffs, mesh))
+            phi = flow_point_map(chart, K, 0.2 * chart.edges.min(), n_steps=64)
+            images.append(phi(flat).reshape(triples.shape))
+        assert np.array_equal(stacked, np.concatenate(images))
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_one_flow_map_call(self, monkeypatch, gallery_bases, count):
+        entry, basis = gallery_bases["example-3"]
+        stacked, calls = cross_validation_inputs(monkeypatch, entry, basis[:count])
+        assert calls == 1
+        assert len(stacked) == 10 * (count + 1)
